@@ -34,6 +34,10 @@
 #include <string>
 #include <thread>
 
+namespace cts::util {
+class Flags;
+}
+
 namespace cts::obs {
 
 /// Span-stack maintenance hooks, called by ScopedSpan.  `name` is copied
@@ -107,5 +111,26 @@ class Profiler {
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
 };
+
+/// A tool's --profile / --profile-folded / --profile-hz / --profile-backend
+/// settings.
+struct ProfileRequest {
+  std::string json_path;    ///< cts.profile.v1 JSON ("" = none)
+  std::string folded_path;  ///< collapsed-stack text ("" = none)
+  Profiler::Options sampling;
+
+  bool wanted() const { return !json_path.empty() || !folded_path.empty(); }
+  /// The path messages name: the JSON one, else the folded one.
+  const std::string& shown_path() const {
+    return json_path.empty() ? folded_path : json_path;
+  }
+};
+
+ProfileRequest profile_request_from_flags(const util::Flags& flags);
+
+/// Stops the global profiler, writes the requested files and logs a
+/// `profile.write` event.  A failed write goes to stderr as "<tool>: cannot
+/// write [folded ]profile PATH".  Returns the sample count.
+std::uint64_t finish_profile(const ProfileRequest& request, const char* tool);
 
 }  // namespace cts::obs

@@ -9,8 +9,10 @@
 
 #include <sys/time.h>
 
+#include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 
 namespace cts::obs {
 
@@ -389,6 +391,33 @@ void Profiler::reset() {
   folded_.clear();
   samples_ = 0;
   dropped_ = 0;
+}
+
+ProfileRequest profile_request_from_flags(const util::Flags& flags) {
+  ProfileRequest request;
+  request.json_path = flags.get_string("profile", "");
+  request.folded_path = flags.get_string("profile-folded", "");
+  request.sampling.hz = static_cast<int>(flags.get_int("profile-hz", 97));
+  request.sampling.backend = flags.get_string("profile-backend", "thread");
+  return request;
+}
+
+std::uint64_t finish_profile(const ProfileRequest& request, const char* tool) {
+  Profiler& prof = Profiler::global();
+  prof.stop();
+  if (!request.json_path.empty() && !prof.write(request.json_path)) {
+    std::fprintf(stderr, "%s: cannot write profile %s\n", tool,
+                 request.json_path.c_str());
+  }
+  if (!request.folded_path.empty() &&
+      !prof.write_folded_file(request.folded_path)) {
+    std::fprintf(stderr, "%s: cannot write folded profile %s\n", tool,
+                 request.folded_path.c_str());
+  }
+  const std::uint64_t samples = prof.sample_count();
+  log_info("profile.write",
+           {{"samples", samples}, {"path", request.shown_path()}});
+  return samples;
 }
 
 }  // namespace cts::obs

@@ -2,6 +2,7 @@
 // across the model zoo under randomised workloads.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -38,11 +39,14 @@ class MeteredSource final : public cp::FrameSource {
 
 }  // namespace
 
+// The model is named by std::string, not const char*: gtest prints a
+// const char* parameter with its address, which ASLR changes on every run,
+// so test names would differ from one test discovery to the next.
 class QueuePropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   cf::ModelSpec model() const {
-    const std::string name = std::get<0>(GetParam());
+    const std::string& name = std::get<0>(GetParam());
     if (name == "Z^0.9") return cf::make_za(0.9);
     if (name == "V^1") return cf::make_vv(1.0);
     if (name == "L") return cf::make_l();
@@ -106,8 +110,10 @@ TEST_P(QueuePropertyTest, MoreCapacityNeverIncreasesLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndSeeds, QueuePropertyTest,
-    ::testing::Combine(::testing::Values("Z^0.9", "V^1", "L", "DAR2"),
-                       ::testing::Values(0, 1)));
+    ::testing::Combine(
+        ::testing::Values(std::string("Z^0.9"), std::string("V^1"),
+                          std::string("L"), std::string("DAR2")),
+        ::testing::Values(0, 1)));
 
 TEST(QueueScaling, MoreSourcesSmoothTraffic) {
   // Statistical multiplexing: at equal per-source bandwidth and buffer,

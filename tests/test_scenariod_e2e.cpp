@@ -38,8 +38,12 @@ std::string spec(const std::string& name) {
   return std::string(CTS_EXAMPLES_DIR) + "/" + name;
 }
 
+/// Per-test scratch path: ctest runs every TEST as its own process, in
+/// parallel, so the current test's name keeps their files apart.
 std::string tmp(const std::string& name) {
-  return ::testing::TempDir() + "/scenariod_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/scenariod_" + test->name() + "_" + name;
 }
 
 /// Runs cts_scenariod with `args`, captures stdout+stderr into *out.

@@ -51,6 +51,7 @@
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
 #include "cts/util/cli_registry.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
@@ -98,13 +99,6 @@ struct RunSample {
   std::map<std::string, double> phase_self_us;     ///< phases[].self_us
   std::map<std::string, double> phase_spans;       ///< phases[].spans
 };
-
-double now_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 std::string today_utc() {
   const std::time_t now = std::time(nullptr);
@@ -314,7 +308,7 @@ int run(const Options& opt) {
     std::vector<RunSample> samples;
     std::string error;
     bool failed = false;
-    const double bench_start_s = now_s();
+    const double bench_start_s = cu::monotonic_s();
     const long long total_runs = opt.warmup + opt.repeats;
     for (long long i = 0; i < total_runs; ++i) {
       const std::string perf_path =
@@ -343,7 +337,7 @@ int run(const Options& opt) {
     obs::log_info("bench.done",
                   {{"bench", spec->id},
                    {"runs", static_cast<std::uint64_t>(samples.size())},
-                   {"wall_ms", (now_s() - bench_start_s) * 1e3}});
+                   {"wall_ms", (cu::monotonic_s() - bench_start_s) * 1e3}});
 
     w.key(spec->id).begin_object();
     w.key("binary").value(spec->binary);

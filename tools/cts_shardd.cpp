@@ -7,7 +7,8 @@
 // Listens on a TCP port (0 = ephemeral; the chosen port is printed and,
 // with --port-file, written to a file the launcher can poll) and answers
 // two request schemas on the same port, each connection handled on its own
-// thread:
+// thread (the net::Server skeleton shared with cts_cacd,
+// cts/net/server.hpp):
 //
 //   * cts.job.v1 — runs the requested replication shard as a child process
 //     and streams the child's cts.shard.v1 file back verbatim inside a
@@ -48,42 +49,36 @@
 // and drills: after N jobs are served, the daemon dies abruptly (_Exit)
 // upon READING the next job request — from the client's side, a worker
 // killed mid-shard.  --max-jobs=N exits cleanly after N jobs (CI smoke
-// jobs).
+// jobs).  Connection threads are joined, never detached: the clean exit
+// waits until every connection's handler has returned, which the request
+// read (30s), job timeout and reply write (60s) deadlines bound.
 //
 // Exit codes: 0 clean shutdown (--max-jobs reached), 2 usage/setup errors.
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_suite.hpp"
 #include "cts/net/job.hpp"
+#include "cts/net/server.hpp"
 #include "cts/net/socket.hpp"
-#include "cts/net/stats.hpp"
 #include "cts/obs/event_log.hpp"
-#include "cts/obs/expfmt.hpp"
-#include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/profiler.hpp"
-#include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/sim/shard.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/cli_registry.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
@@ -98,25 +93,11 @@ namespace cu = cts::util;
 namespace {
 
 constexpr double kDefaultJobTimeoutS = 600.0;
-constexpr double kRequestReadTimeoutS = 30.0;
-constexpr double kReplyWriteTimeoutS = 60.0;
-/// Accept poll interval: short enough that --max-jobs exits promptly.
-constexpr double kAcceptTimeoutS = 0.25;
-/// How long a clean shutdown waits for in-flight connections to drain.
-constexpr double kDrainTimeoutS = 30.0;
 
 struct Options {
-  std::uint16_t port = 0;
-  std::string port_file;
   std::string bench_dir;
   std::string work_dir = "shardd_work";
-  long long max_jobs = 0;          ///< 0: serve forever
-  long long fault_exit_after = -1; ///< <0: disabled
-  bool quiet = false;
-  std::string profile_path;        ///< cts.profile.v1 JSON on clean exit
-  std::string profile_folded;      ///< collapsed-stack text on clean exit
-  int profile_hz = 97;
-  std::string profile_backend = "thread";
+  long long fault_exit_after = -1;  ///< <0: disabled
 };
 
 void usage() {
@@ -142,42 +123,22 @@ void usage() {
       "Exit codes: 0 clean shutdown (--max-jobs), 2 usage or setup error.\n");
 }
 
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Everything the connection threads share.  Counters are guarded by `mu`;
-/// job children are serialized by `job_mu`; `metrics` and the global
-/// TraceRecorder / EventLog are internally synchronized.
-struct DaemonState {
-  const Options* opt = nullptr;
-  std::uint16_t port = 0;
-  double start_s = 0;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  long long next_job = 0;          ///< job requests accepted (names files)
-  long long served = 0;            ///< job replies sent (--max-jobs budget)
-  std::uint64_t jobs_ok = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_retried = 0;
-  std::uint64_t stats_served = 0;
-  std::uint64_t in_flight = 0;     ///< job accepted, reply not yet sent
-  int active_conns = 0;
-
-  std::mutex job_mu;               ///< one bench child at a time
-  obs::MetricsRegistry metrics;    ///< daemon-lifetime (stats endpoint)
+/// The daemon's own state beside the Server's.  Job children are
+/// serialized by `job_mu`; `metrics` is internally synchronized.
+struct Shardd {
+  Options opt;
+  std::atomic<long long> next_job{0};  ///< job requests accepted (names files)
+  std::atomic<std::uint64_t> jobs_retried{0};
+  std::mutex job_mu;                        ///< one bench child at a time
+  obs::MetricsRegistry* metrics = nullptr;  ///< the Server's registry
 };
 
 /// Runs one shard job to completion; fills in a cts.jobresult.v1 reply
-/// including the per-job obs capture.  Called with st->job_mu held, so the
+/// including the per-job obs capture.  Called with d->job_mu held, so the
 /// trace slice [event_count() at entry, end) belongs to this job alone.
-net::JobResult run_job(const Options& opt, const net::JobRequest& job,
-                       long long job_index, std::int64_t recv_us,
-                       DaemonState* st) {
+net::JobResult run_job(const net::JobRequest& job, long long job_index,
+                       std::int64_t recv_us, Shardd* d) {
+  const Options& opt = d->opt;
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   const std::size_t span_begin = recorder.event_count();
   net::JobResult result;
@@ -188,7 +149,7 @@ net::JobResult run_job(const Options& opt, const net::JobRequest& job,
   // with a deep queue is slow from the dispatcher's seat.
   const double queue_wait_ms =
       static_cast<double>(recorder.now_us() - recv_us) / 1e3;
-  const double start = monotonic_s();
+  const double start = cu::monotonic_s();
   const std::string tag = std::to_string(job_index);
 
   {
@@ -273,7 +234,7 @@ net::JobResult run_job(const Options& opt, const net::JobRequest& job,
     }
   }  // closes "shardd.job"
 
-  result.elapsed_s = monotonic_s() - start;
+  result.elapsed_s = cu::monotonic_s() - start;
 
   // Per-job metrics shard: shipped to the dispatcher as-is (it merges
   // per-job deltas, never cumulative totals) and folded into the daemon's
@@ -286,7 +247,7 @@ net::JobResult run_job(const Options& opt, const net::JobRequest& job,
   // (and SLO flags) from these, which fixed edges cannot resolve.
   job_metrics.observe_log("shardd.job_wall_ms", result.elapsed_s * 1e3);
   job_metrics.observe_log("shardd.queue_wait_ms", queue_wait_ms);
-  st->metrics.merge(job_metrics);
+  d->metrics->merge(job_metrics);
   result.obs.metrics = std::move(job_metrics);
 
   const std::vector<obs::TraceEvent> all = recorder.events();
@@ -298,236 +259,62 @@ net::JobResult run_job(const Options& opt, const net::JobRequest& job,
   return result;
 }
 
-net::WorkerStats snapshot_stats(DaemonState* st) {
-  net::WorkerStats stats;
-  stats.worker = "cts_shardd:" + std::to_string(st->port);
-  stats.pid = static_cast<std::int64_t>(::getpid());
-  stats.uptime_s = monotonic_s() - st->start_s;
-  {
-    const std::lock_guard<std::mutex> lock(st->mu);
-    ++st->stats_served;  // this query counts itself
-    stats.jobs_in_flight = st->in_flight;
-    stats.jobs_ok = st->jobs_ok;
-    stats.jobs_failed = st->jobs_failed;
-    stats.jobs_retried = st->jobs_retried;
-    stats.stats_served = st->stats_served;
+/// One cts.job.v1 request, on its connection's thread.
+void handle_job(net::Exchange& exchange, Shardd* d) {
+  const Options& opt = d->opt;
+  if (opt.fault_exit_after >= 0 &&
+      exchange.served_before() >= opt.fault_exit_after) {
+    // Fault-injection hook: die abruptly mid-job, reply never sent.
+    std::_Exit(137);
   }
-  stats.metrics = st->metrics.snapshot();
-  stats.spans = obs::aggregate_spans(obs::TraceRecorder::global().events());
-  return stats;
-}
+  const long long job_index = d->next_job++;
 
-/// One connection, on its own thread: read the request, discriminate by
-/// schema tag, reply.  All failure paths restore the shared counters.
-void handle_connection(net::Socket conn, DaemonState* st) {
-  const Options& opt = *st->opt;
-  bool counted_in_flight = false;
-  long long job_index = -1;
+  net::JobResult result;
+  int attempt = 0;
   try {
-    const std::string request = net::recv_frame(conn, kRequestReadTimeoutS);
-    const std::int64_t recv_us = obs::TraceRecorder::global().now_us();
-
-    std::string schema;
-    try {
-      const obs::JsonValue doc = obs::json_parse(request);
-      const obs::JsonValue* tag = doc.find("schema");
-      if (tag != nullptr && tag->is_string()) schema = tag->as_string();
-    } catch (const cu::Error&) {
-      // Not JSON at all: falls through to the job path, whose strict
-      // parser produces the structured error reply.
-    }
-
-    if (schema == net::kStatsRequestSchema) {
-      net::StatsFormat format = net::StatsFormat::kJson;
-      try {
-        format = net::parse_stats_request(request);
-      } catch (const cu::Error& e) {
-        // Unknown format: answer in JSON rather than dropping the scrape;
-        // the monitor's own parser will surface the mismatch.
-        obs::log_warn("stats.bad_format", {{"error", e.what()}});
-      }
-      const net::WorkerStats stats = snapshot_stats(st);
-      if (format == net::StatsFormat::kOpenMetrics) {
-        // Exposition view: the lossless snapshot plus the liveness fields
-        // that live outside the registry, labelled with the worker id.
-        obs::MetricsShard shard = stats.metrics;
-        shard.gauge("shardd.uptime_s", stats.uptime_s);
-        shard.gauge("shardd.jobs_in_flight",
-                    static_cast<double>(stats.jobs_in_flight));
-        shard.add("shardd.stats_served", stats.stats_served);
-        obs::OpenMetricsOptions om;
-        om.labels = {{"worker", stats.worker}};
-        std::ostringstream os;
-        obs::write_openmetrics(os, shard, om);
-        net::send_frame(conn, os.str(), kReplyWriteTimeoutS);
-      } else {
-        net::send_frame(conn, net::write_stats_json(stats),
-                        kReplyWriteTimeoutS);
-      }
-      obs::log_debug("stats.query", {});
-      return;
-    }
-
+    const net::JobRequest job = net::parse_job(exchange.request());
+    attempt = job.attempt;
+    obs::log_debug(
+        "job.start",
+        {{"job", static_cast<std::int64_t>(job_index)},
+         {"bench", job.bench_id},
+         {"shard", std::to_string(job.shard_index) + "/" +
+                       std::to_string(job.shard_count)},
+         {"attempt", job.attempt}});
     {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      if (opt.fault_exit_after >= 0 && st->served >= opt.fault_exit_after) {
-        // Fault-injection hook: die abruptly mid-job, reply never sent.
-        std::_Exit(137);
-      }
-      job_index = st->next_job++;
-      ++st->in_flight;
-      counted_in_flight = true;
+      const std::lock_guard<std::mutex> job_lock(d->job_mu);
+      result = run_job(job, job_index, exchange.recv_us(), d);
     }
-
-    net::JobResult result;
-    int attempt = 0;
-    try {
-      const net::JobRequest job = net::parse_job(request);
-      attempt = job.attempt;
-      obs::log_debug(
-          "job.start",
-          {{"job", static_cast<std::int64_t>(job_index)},
-           {"bench", job.bench_id},
-           {"shard", std::to_string(job.shard_index) + "/" +
-                         std::to_string(job.shard_count)},
-           {"attempt", job.attempt}});
-      {
-        const std::lock_guard<std::mutex> job_lock(st->job_mu);
-        result = run_job(opt, job, job_index, recv_us, st);
-      }
-      // The per-job summary line: everything a post-mortem grep needs.
-      obs::log_info(
-          result.ok ? "job.done" : "job.fail",
-          {{"job", static_cast<std::int64_t>(job_index)},
-           {"bench", job.bench_id},
-           {"shard", std::to_string(job.shard_index) + "/" +
-                         std::to_string(job.shard_count)},
-           {"wall_ms", result.elapsed_s * 1e3},
-           {"status", result.ok ? "ok" : result.error},
-           {"attempt", job.attempt}});
-    } catch (const cu::Error& e) {
-      result.ok = false;
-      result.error = e.what();
-      obs::log_warn("job.reject", {{"job", static_cast<std::int64_t>(job_index)}, {"error", e.what()}});
-    }
-    net::send_frame(conn, net::write_job_result_json(result),
-                    kReplyWriteTimeoutS);
-
-    {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      ++st->served;
-      --st->in_flight;
-      counted_in_flight = false;
-      if (result.ok) {
-        ++st->jobs_ok;
-      } else {
-        ++st->jobs_failed;
-      }
-      if (attempt > 1) ++st->jobs_retried;
-    }
-  } catch (const net::NetError& e) {
-    // A broken connection affects only that client; keep serving.
-    obs::log_warn("conn.error", {{"error", e.what()}});
-    if (counted_in_flight) {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      --st->in_flight;
-      // The reply never went out, but the job budget was spent: count the
-      // job as served so --max-jobs / fault drills stay deterministic.
-      ++st->served;
-      ++st->jobs_failed;
-    }
+    // The per-job summary line: everything a post-mortem grep needs.
+    obs::log_info(
+        result.ok ? "job.done" : "job.fail",
+        {{"job", static_cast<std::int64_t>(job_index)},
+         {"bench", job.bench_id},
+         {"shard", std::to_string(job.shard_index) + "/" +
+                       std::to_string(job.shard_count)},
+         {"wall_ms", result.elapsed_s * 1e3},
+         {"status", result.ok ? "ok" : result.error},
+         {"attempt", job.attempt}});
+  } catch (const cu::Error& e) {
+    result.ok = false;
+    result.error = e.what();
+    obs::log_warn("job.reject", {{"job", static_cast<std::int64_t>(job_index)}, {"error", e.what()}});
   }
+  exchange.reply(net::write_job_result_json(result), result.ok);
+  if (attempt > 1) ++d->jobs_retried;
 }
 
-int serve(const Options& opt) {
-  DaemonState st;
-  st.opt = &opt;
-  st.start_s = monotonic_s();
-  // Spans feed both the per-job obs capture and the stats endpoint's span
-  // table, so the recorder is always on in the daemon.
-  obs::TraceRecorder::global().enable();
-
-  const bool profiling =
-      !opt.profile_path.empty() || !opt.profile_folded.empty();
-  if (profiling) {
-    obs::Profiler::Options popts;
-    popts.hz = opt.profile_hz;
-    popts.backend = opt.profile_backend;
-    obs::Profiler::global().start(popts);
-  }
-
-  std::uint16_t port = 0;
-  net::Socket listener = net::listen_on(opt.port, &port);
-  st.port = port;
-  std::printf("cts_shardd: listening on port %u (bench dir %s)\n",
-              static_cast<unsigned>(port), opt.bench_dir.c_str());
-  std::fflush(stdout);
-  if (!opt.port_file.empty()) {
-    std::ofstream pf(opt.port_file);
-    pf << port << "\n";
-    if (!pf) {
-      std::fprintf(stderr, "cts_shardd: cannot write port file %s\n",
-                   opt.port_file.c_str());
-      return 2;
-    }
-  }
-  obs::log_info("daemon.start", {{"port", static_cast<std::int64_t>(port)},
-                                 {"bench_dir", opt.bench_dir}});
-
-  for (;;) {
-    net::Socket conn = net::accept_connection(listener, kAcceptTimeoutS);
-    if (conn.valid()) {
-      {
-        const std::lock_guard<std::mutex> lock(st.mu);
-        ++st.active_conns;
-      }
-      std::thread([conn = std::move(conn), &st]() mutable {
-        handle_connection(std::move(conn), &st);
-        {
-          const std::lock_guard<std::mutex> lock(st.mu);
-          --st.active_conns;
-        }
-        st.cv.notify_all();
-      }).detach();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(st.mu);
-      if (opt.max_jobs > 0 && st.served >= opt.max_jobs) break;
-    }
-  }
-
-  // Drain: stats/straggler connections get a bounded grace period.
-  {
-    std::unique_lock<std::mutex> lock(st.mu);
-    st.cv.wait_for(lock,
-                   std::chrono::duration<double>(kDrainTimeoutS),
-                   [&st] { return st.active_conns == 0; });
-  }
-  if (profiling) {
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.stop();
-    if (!opt.profile_path.empty() && !prof.write(opt.profile_path)) {
-      std::fprintf(stderr, "cts_shardd: cannot write profile %s\n",
-                   opt.profile_path.c_str());
-    }
-    if (!opt.profile_folded.empty() &&
-        !prof.write_folded_file(opt.profile_folded)) {
-      std::fprintf(stderr, "cts_shardd: cannot write folded profile %s\n",
-                   opt.profile_folded.c_str());
-    }
-    obs::log_info("profile.write",
-                  {{"samples", static_cast<std::int64_t>(prof.sample_count())},
-                   {"path", opt.profile_path.empty() ? opt.profile_folded
-                                                     : opt.profile_path}});
-  }
-  obs::log_info("daemon.exit",
-                {{"served", static_cast<std::int64_t>(st.served)},
-                 {"reason", "max-jobs"}});
-  if (!opt.quiet) {
-    std::fprintf(stderr, "[served %lld job(s); exiting (--max-jobs)]\n",
-                 st.served);
-  }
-  return 0;
+int serve(net::ServerConfig config, Options opt) {
+  net::Server server(std::move(config));
+  Shardd d;
+  d.opt = std::move(opt);
+  d.metrics = &server.metrics();
+  net::Service service;
+  service.handle = [&d](net::Exchange& ex) { handle_job(ex, &d); };
+  service.add_stats = [&d](net::WorkerStats& stats) {
+    stats.jobs_retried = d.jobs_retried.load();
+  };
+  return server.run(service);
 }
 
 }  // namespace
@@ -541,34 +328,11 @@ int main(int argc, char** argv) {
     }
     flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kShardDFlags));
 
+    net::ServerConfig config =
+        net::daemon_config(flags, "cts_shardd", "shardd", "job");
     Options opt;
-    const std::int64_t port = flags.get_int("port", 0);
-    if (port < 0 || port > 65535) {
-      std::fprintf(stderr, "cts_shardd: --port must be in [0, 65535]\n");
-      return 2;
-    }
-    opt.port = static_cast<std::uint16_t>(port);
-    opt.port_file = flags.get_string("port-file", "");
     opt.work_dir = flags.get_string("work-dir", "shardd_work");
-    opt.max_jobs = flags.get_int("max-jobs", 0);
     opt.fault_exit_after = flags.get_int("fault-exit-after", -1);
-    opt.quiet = flags.get_bool("quiet", false);
-    opt.profile_path = flags.get_string("profile", "");
-    opt.profile_folded = flags.get_string("profile-folded", "");
-    opt.profile_hz = static_cast<int>(flags.get_int("profile-hz", 97));
-    opt.profile_backend = flags.get_string("profile-backend", "thread");
-
-    // Event sink: --log beats stderr; --quiet silences the default stderr
-    // sink but an explicit --log file still receives events.
-    const std::string log_path = flags.get_string("log", "");
-    obs::EventLog& log = obs::EventLog::global();
-    if (!log_path.empty()) {
-      log.open(log_path);
-    } else if (!opt.quiet) {
-      log.to_stream(&std::cerr);
-    }
-    log.set_min_level(obs::parse_log_level(
-        flags.get_string("log-level", "info")));
 
     // Bench binaries: --bench-dir beats CTS_BENCH_DIR beats the build-tree
     // layout convention (tools/ and bench/ are sibling directories).
@@ -583,7 +347,9 @@ int main(int argc, char** argv) {
       }
     }
     cu::make_dirs(opt.work_dir);
-    return serve(opt);
+    config.listen_note = " (bench dir " + opt.bench_dir + ")";
+    config.start_fields = {{"bench_dir", opt.bench_dir}};
+    return serve(std::move(config), std::move(opt));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cts_shardd: %s\n", e.what());
     return 2;

@@ -52,6 +52,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -78,6 +79,7 @@
 #include "cts/sim/replication.hpp"
 #include "cts/sim/shard.hpp"
 #include "cts/util/cli_registry.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
@@ -131,12 +133,6 @@ std::vector<std::string> positionals(int argc, char** argv) {
     out.push_back(token);
   }
   return out;
-}
-
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // -------------------------------------------------------------------------
@@ -265,11 +261,11 @@ int run_workers(const std::string& binary, std::size_t shard_count,
 
   // One shared deadline across all workers; a straggler past it is killed
   // and reported (the old code blocked in waitpid forever).
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = cu::monotonic_s() + timeout_s;
   bool failed = false;
   for (std::size_t i = 0; i < pids.size(); ++i) {
     const double remaining =
-        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - monotonic_s());
+        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - cu::monotonic_s());
     const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
     if (!outcome.ok()) {
       std::fprintf(stderr, "cts_simd: worker %zu %s (see %s)\n", i,
@@ -300,10 +296,7 @@ struct NetRunOptions {
   std::vector<net::Endpoint> workers;
   double job_timeout_s = 300;
   int retries = 3;
-  std::string profile_path;            ///< cts.profile.v1 JSON ("" = off)
-  std::string profile_folded;          ///< collapsed-stack text ("" = off)
-  int profile_hz = 97;
-  std::string profile_backend = "thread";
+  obs::ProfileRequest profile;         ///< --profile* ("" paths = off)
   bool keep_shards = false;
   bool quiet = false;
 };
@@ -314,36 +307,17 @@ struct NetRunOptions {
 class DispatchProfile {
  public:
   explicit DispatchProfile(const NetRunOptions& opt) : opt_(opt) {
-    if (opt_.profile_path.empty() && opt_.profile_folded.empty()) return;
-    obs::Profiler::Options popts;
-    popts.hz = opt_.profile_hz;
-    popts.backend = opt_.profile_backend;
-    obs::Profiler::global().start(popts);
+    if (!opt_.profile.wanted()) return;
+    obs::Profiler::global().start(opt_.profile.sampling);
     started_ = true;
   }
   ~DispatchProfile() {
     if (!started_) return;
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.stop();
-    if (!opt_.profile_path.empty() && !prof.write(opt_.profile_path)) {
-      std::fprintf(stderr, "cts_simd: cannot write profile %s\n",
-                   opt_.profile_path.c_str());
-    }
-    if (!opt_.profile_folded.empty() &&
-        !prof.write_folded_file(opt_.profile_folded)) {
-      std::fprintf(stderr, "cts_simd: cannot write folded profile %s\n",
-                   opt_.profile_folded.c_str());
-    }
-    obs::log_info("profile.write",
-                  {{"samples", prof.sample_count()},
-                   {"path", opt_.profile_path.empty() ? opt_.profile_folded
-                                                      : opt_.profile_path}});
+    const std::uint64_t samples = obs::finish_profile(opt_.profile, "cts_simd");
     if (!opt_.quiet) {
       std::printf("[profile (%llu samples) written to %s]\n",
-                  static_cast<unsigned long long>(prof.sample_count()),
-                  (opt_.profile_path.empty() ? opt_.profile_folded
-                                             : opt_.profile_path)
-                      .c_str());
+                  static_cast<unsigned long long>(samples),
+                  opt_.profile.shown_path().c_str());
     }
   }
   DispatchProfile(const DispatchProfile&) = delete;
@@ -475,14 +449,14 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
     job.env = std::move(env);
     job.timeout_s = opt.job_timeout_s;
     job.attempt = attempt;
-    const double start = monotonic_s();
+    const double start = cu::monotonic_s();
     std::string payload;
     std::string error;
     JobObsCapture capture;
     const bool ok =
         dispatch_one(ep, job, opt.job_timeout_s, &payload, &error, &capture);
     env = std::move(job.env);  // reused across this thread's jobs
-    const double wall_ms = (monotonic_s() - start) * 1e3;
+    const double wall_ms = (cu::monotonic_s() - start) * 1e3;
     dispatch->observe("simd.net.job_wall_ms", wall_ms);
     dispatch->observe(wtag + ".wall_ms", wall_ms);
     // Log-histogram twins carry the percentile view (p50..p999) that the
@@ -668,9 +642,9 @@ int run_networked(const NetRunOptions& opt) {
       if (pid < 0) return 1;
       pids.push_back(pid);
     }
-    const double deadline = monotonic_s() + opt.job_timeout_s;
+    const double deadline = cu::monotonic_s() + opt.job_timeout_s;
     for (std::size_t i = 0; i < pids.size(); ++i) {
-      const double remaining = std::max(0.0, deadline - monotonic_s());
+      const double remaining = std::max(0.0, deadline - cu::monotonic_s());
       const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
       if (!outcome.ok()) {
         if (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
@@ -961,10 +935,7 @@ int main(int argc, char** argv) {
         opt.dispatch_metrics_path =
             flags.get_string("dispatch-metrics", "");
         opt.trace_path = flags.get_string("trace", "");
-        opt.profile_path = flags.get_string("profile", "");
-        opt.profile_folded = flags.get_string("profile-folded", "");
-        opt.profile_hz = static_cast<int>(flags.get_int("profile-hz", 97));
-        opt.profile_backend = flags.get_string("profile-backend", "thread");
+        opt.profile = obs::profile_request_from_flags(flags);
         opt.bench_dir = flags.get_string("bench-dir", "");
         if (opt.bench_dir.empty()) {
           const char* env = std::getenv("CTS_BENCH_DIR");
