@@ -4,8 +4,8 @@
 // The paper's engineering claim is that the CTS analysis makes one
 // admission decision cheap enough to run per offered VC.  This bench
 // quantifies "cheap" for the serving path: a cold pass answers a buffer
-// sweep of admit_br batches on an empty atm::CacCache (every probe runs a
-// real CTS scan, later probes warm-starting from cached neighbours), then
+// sweep of admit_br batches on an empty atm::CacCache (every probe builds
+// a fresh RateFunction and evaluates the CTS), then
 // warm passes replay the identical workload against the populated cache
 // (pure memo lookups + the closed-form Bahadur-Rao step).  The warm/cold
 // throughput ratio is the service's cache win; the committed BENCH_*.json
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   const cu::Flags flags(argc, argv);
   const bench::ObsGuard guard(flags, bench::spec("cacd"), {"warm-reps"});
   bench::banner("Admission service: CAC throughput, cold vs warm cache");
-  cu::CsvWriter csv({"model", "queries", "cold_qps", "warm_qps", "speedup",
-                     "warm_starts", "cache_entries"});
+  cu::CsvWriter csv(
+      {"model", "queries", "cold_qps", "warm_qps", "speedup", "cache_entries"});
 
   // Warm replays per model: enough that the per-query cost dominates the
   // timer, small enough for the smoke suite.
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
   };
   const std::vector<atm::CacProblem> problems = workload();
 
-  cu::TextTable table({"model", "queries", "cold q/s", "warm q/s",
-                       "speedup", "warm starts", "entries"});
+  cu::TextTable table(
+      {"model", "queries", "cold q/s", "warm q/s", "speedup", "entries"});
   double min_speedup = 0.0;
   for (const cts::fit::ModelSpec& model : models) {
     atm::CacCache cache;
@@ -97,14 +97,12 @@ int main(int argc, char** argv) {
                                    problems.size())),
                    cu::format_fixed(cold_qps, 1), cu::format_fixed(warm_qps, 0),
                    cu::format_fixed(speedup, 1),
-                   cu::format_int(static_cast<long long>(stats.warm_starts)),
                    cu::format_int(static_cast<long long>(
                        stats.rate_entries))});
     csv.add_row({model.name,
                  cu::format_int(static_cast<long long>(problems.size())),
                  cu::format_fixed(cold_qps, 2), cu::format_fixed(warm_qps, 2),
                  cu::format_fixed(speedup, 2),
-                 cu::format_int(static_cast<long long>(stats.warm_starts)),
                  cu::format_int(static_cast<long long>(stats.rate_entries))});
 
     obs::MetricsRegistry::global().gauge("cacd.cold_qps." + model.name,
@@ -116,7 +114,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf(
       "expected shape: warm-cache throughput >= 10x cold — the memoized "
-      "rate points turn a CTS scan\ninto a map lookup plus the closed-form "
+      "rate points turn a CTS evaluation\ninto a map lookup plus the closed-form "
       "Bahadur-Rao step (min speedup this run: %.1fx).\n",
       min_speedup);
   bench::maybe_write_csv(flags, csv, "cacd.csv");

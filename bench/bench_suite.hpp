@@ -67,7 +67,7 @@ inline constexpr BenchSpec kSuite[] = {
     {"cacd", "bench_cacd", "analytic", true,
      "Admission service: CAC query throughput, cold vs warm cache"},
     {"scan_sweep", "bench_scan_sweep", "analytic", true,
-     "Scan sweep: warm-started, SIMD-dispatched CTS scans"},
+     "Scan sweep: CTS envelope vs the scalar scan oracle"},
 };
 
 inline constexpr std::size_t kSuiteSize = sizeof(kSuite) / sizeof(kSuite[0]);

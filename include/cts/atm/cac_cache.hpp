@@ -1,26 +1,21 @@
 // Thread-safe memoization cache for admission-control analytics.
 //
-// The expensive step of every CAC decision is the CTS scan inside
-// RateFunction::evaluate -- the Bahadur-Rao overflow probability is then
-// closed-form in (I, N).  The cache therefore memoizes at the rate level,
-// keyed on (model name, per-connection bandwidth c, per-connection buffer
-// b); every (model, b, c, N) BOP query the daemon serves maps onto one
-// such rate point plus O(1) arithmetic, so a single cached scan serves
-// all N sharing the same per-connection operating point.
+// The expensive step of every CAC decision is RateFunction::evaluate (the
+// V(m) table and the CTS envelope) -- the Bahadur-Rao overflow probability
+// is then closed-form in (I, N).  The cache therefore memoizes at the rate
+// level, keyed on (model name, per-connection bandwidth c, per-connection
+// buffer b); every (model, b, c, N) BOP query the daemon serves maps onto
+// one such rate point plus O(1) arithmetic, so a single cached evaluation
+// serves all N sharing the same per-connection operating point.  A miss
+// builds a fresh RateFunction.
 //
-// Two analytic facts make the cache more than a lookup table:
+// log10 BOP is smooth in b between grid points, so probe queries may opt
+// into linear interpolation between two cached brackets instead of paying
+// for a fresh evaluation.  Interpolation is approximate and is never used
+// for admit/reject decisions.
 //
-//  * m*_b is non-decreasing in b at fixed c (decreasing differences of
-//    the BR objective in (m, b)), so a cache miss warm-starts its integer
-//    scan from the cached m* of the largest b' <= b already present --
-//    bit-identical to the cold scan, but skipping the settled prefix.
-//  * log10 BOP is smooth in b between grid points, so probe queries may
-//    opt into linear interpolation between two cached brackets instead
-//    of paying for a fresh scan.  Interpolation is approximate and is
-//    never used for admit/reject decisions.
-//
-// Concurrency: lookups and inserts take a mutex; scans run outside the
-// lock.  Two threads missing on the same key compute the same
+// Concurrency: lookups and inserts take a mutex; evaluations run outside
+// the lock.  Two threads missing on the same key compute the same
 // deterministic value and the second insert is a no-op.
 
 #pragma once
@@ -44,9 +39,8 @@ class CacCache {
   /// Monotone counters plus current size; readable while other threads
   /// query the cache.
   struct Stats {
-    std::uint64_t rate_hits = 0;       ///< BOP served from a cached scan
-    std::uint64_t rate_misses = 0;     ///< scans actually run
-    std::uint64_t warm_starts = 0;     ///< misses started at a cached m*
+    std::uint64_t rate_hits = 0;       ///< BOP served from a cached point
+    std::uint64_t rate_misses = 0;     ///< rate evaluations actually run
     std::uint64_t interpolations = 0;  ///< BOPs served by interpolation
     std::uint64_t eb_hits = 0;         ///< variance rates served from cache
     std::uint64_t eb_misses = 0;       ///< variance-rate summations run
@@ -66,7 +60,7 @@ class CacCache {
 
   /// Like log10_bop, but when the exact point is absent and two cached
   /// buffer grid points bracket b at the same (model, c), returns the
-  /// linear interpolation of their BOPs instead of running a scan.
+  /// linear interpolation of their BOPs instead of evaluating the rate.
   /// Falls back to the exact (caching) path when no bracket exists.
   double log10_bop_interpolated(const fit::ModelSpec& model,
                                 const CacProblem& problem, std::size_t n);
@@ -91,8 +85,8 @@ class CacCache {
 
  private:
   /// Lexicographic (model, c, b): entries of one (model, c) curve are
-  /// contiguous and ordered by b, which is what warm-start hints and
-  /// interpolation brackets need.
+  /// contiguous and ordered by b, which is what interpolation brackets
+  /// need.
   struct RateKey {
     std::string model;
     double bandwidth = 0.0;  ///< c, per connection

@@ -30,16 +30,9 @@ struct BopPoint {
 BopPoint br_log10_bop(const RateFunction& rate, double buffer_per_source,
                       std::size_t n_sources);
 
-/// Warm-started variant: forwards `m_hint` to RateFunction::evaluate.
-/// Bit-identical to the cold overload whenever m_hint <= m*_b — true for
-/// any cached m* from a smaller buffer at the same bandwidth, since m*_b
-/// is non-decreasing in b (see RateFunction::evaluate).
-BopPoint br_log10_bop(const RateFunction& rate, double buffer_per_source,
-                      std::size_t n_sources, std::size_t m_hint);
-
 /// Same, but from an already-evaluated rate-function point: the BR
 /// asymptotic is closed-form in (I, N), so a memoized RateResult turns a
-/// CTS scan into O(1) work.  Bit-identical to the RateFunction overload
+/// CTS evaluation into O(1) work.  Bit-identical to the RateFunction overload
 /// for the same (I, m*).
 BopPoint br_log10_bop(const RateResult& rate_point, double buffer_per_source,
                       std::size_t n_sources);

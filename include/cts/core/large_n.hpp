@@ -17,14 +17,8 @@ namespace cts::core {
 BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
                            std::size_t n_sources);
 
-/// Warm-started variant: forwards `m_hint` to RateFunction::evaluate.
-/// Bit-identical to the cold overload whenever m_hint <= m*_b (m*_b is
-/// non-decreasing in b; see RateFunction::evaluate).
-BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
-                           std::size_t n_sources, std::size_t m_hint);
-
 /// Closed-form tail from an already-evaluated rate-function point.
-/// Bit-identical to the RateFunction overloads for the same (I, m*).
+/// Bit-identical to the RateFunction overload for the same (I, m*).
 BopPoint large_n_log10_bop(const RateResult& rate_point,
                            double buffer_per_source, std::size_t n_sources);
 

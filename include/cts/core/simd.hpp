@@ -1,11 +1,12 @@
-// Runtime-dispatched SIMD kernels for the analytic hot paths.
+// Runtime-dispatched SIMD kernels for the Gaussian frame generators.
 //
-// The kernels here back the CTS scan (`RateFunction::evaluate`), the
-// Davies-Harte block scaling, and the Hosking/Durbin-Levinson inner
-// products.  Dispatch picks the best instruction set the host supports
-// (AVX2 > SSE2 > scalar, probed once via cpuid) and can be overridden for
-// testing with the `CTS_SIMD=scalar|sse2|avx2` environment variable or the
-// `force()` hook.
+// The kernels here back the Davies-Harte block scaling and the
+// Hosking/Durbin-Levinson inner products.  The CTS argmin
+// (`RateFunction::evaluate`) has none: it answers from a lower envelope of
+// lines, not from a scan.  Dispatch picks the best instruction set the
+// host supports (AVX2 > SSE2 > scalar, probed once via cpuid) and can be
+// overridden for testing with the `CTS_SIMD=scalar|sse2|avx2` environment
+// variable or the `force()` hook.
 //
 // Bit-identity contract: every kernel produces byte-identical results on
 // every dispatch kind.  Element-wise kernels (`scale_pairs`,
@@ -15,11 +16,9 @@
 // `dot_reversed` fixes a "4-lane blocked" summation order -- lane l
 // accumulates elements j with j % 4 == l, lanes combine as
 // (acc0 + acc2) + (acc1 + acc3), and the tail is added sequentially --
-// which all three implementations realise exactly.  `scan_min` is an
-// argmin under strict `<` with lowest-m tie-breaking, which is independent
-// of evaluation order altogether.  Tests assert the contract kernel-by-
-// kernel and end-to-end at the curve level (test_simd_kernels,
-// test_curve_bit_identity).
+// which all three implementations realise exactly.  Tests assert the
+// contract kernel by kernel (test_simd_kernels) and on generated frames
+// (test_gaussian_acf_source).
 
 #pragma once
 
@@ -56,26 +55,6 @@ void clear_force() noexcept;
 
 /// Parses "scalar"/"sse2"/"avx2"; throws util::InvalidArgument otherwise.
 Kind parse_kind(std::string_view name);
-
-/// Result of a windowed scan: the minimum objective value and its m.
-struct ScanPoint {
-  double value = 0.0;
-  std::size_t m = 0;
-};
-
-/// Argmin over m in [m_lo, m_hi] (inclusive, m_lo >= 1, m_lo <= m_hi) of
-/// the Bahadur-Rao scan objective
-///
-///   f(m) = (b + m * drift)^2 * inv2v[m],
-///
-/// where `inv2v[m]` is the precomputed reciprocal table 1 / (2 V(m))
-/// (indexed by m; inv2v[0] unused, entries up to m_hi must be valid and
-/// positive).  Hoisting the division into the shared table keeps the hot
-/// loop pure mul/add — the per-element divide would otherwise cap the
-/// vector win at the divider's throughput.  Ties resolve to the lowest m,
-/// so the result equals the first running minimum of a sequential scan.
-ScanPoint scan_min(double b, double drift, const double* inv2v,
-                   std::size_t m_lo, std::size_t m_hi);
 
 /// sum_{j=0..n-1} a[j] * b_last[-j]  -- a forward vector against a
 /// reversed one (`b_last` points at the LAST element of the reversed

@@ -8,8 +8,7 @@
 // The class materialises V as a dense table extended in bulk (one tight
 // loop over new lags, running prefix sums S1(m) = sum r(i) and
 // S2(m) = sum i r(i)), so a sweep over m (the CTS search) costs O(1)
-// amortised per step and the SIMD scan kernels can read V(m) directly
-// from contiguous memory.
+// amortised per step and reads V(m) from contiguous memory.
 
 #pragma once
 
@@ -42,10 +41,9 @@ class VarianceGrowth {
   std::size_t table_size() const noexcept { return v_.size(); }
 
   /// Companion reciprocal table: inv_table()[m] == 1 / (2 V(m)), same
-  /// indexing and lifetime as `table()`.  The CTS scan objective is
-  /// (b + m drift)^2 * inv_table()[m]; precomputing the reciprocal once
-  /// per lag keeps the per-element scan free of divisions (the divider's
-  /// throughput would otherwise bound the SIMD speedup).
+  /// indexing and lifetime as `table()`.  The CTS objective is
+  /// (b + m drift)^2 * inv_table()[m], and sqrt(inv_table()[m]) is the
+  /// slope of lag m's line in the CTS envelope.
   const double* inv_table() const noexcept { return inv2v_.data(); }
 
   /// Index-of-dispersion-style normalised growth V(m)/(sigma^2 m); tends to

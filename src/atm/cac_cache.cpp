@@ -11,7 +11,6 @@ namespace cts::atm {
 core::RateResult CacCache::rate_point(const fit::ModelSpec& model,
                                       double bandwidth, double buffer) {
   const RateKey key{model.name, bandwidth, buffer};
-  std::size_t hint = 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = rates_.find(key);
@@ -19,26 +18,14 @@ core::RateResult CacCache::rate_point(const fit::ModelSpec& model,
       ++stats_.rate_hits;
       return it->second;
     }
-    // Warm start: the cached point with the largest b' <= b on the same
-    // (model, c) curve.  Its m* lower-bounds ours (CTS monotonicity in b),
-    // so starting the scan there is bit-identical to a cold scan.
-    auto bound = rates_.lower_bound(key);
-    if (bound != rates_.begin()) {
-      --bound;
-      if (bound->first.model == key.model &&
-          bound->first.bandwidth == key.bandwidth) {
-        hint = bound->second.critical_m;
-      }
-    }
   }
-  // The scan runs outside the lock; a concurrent miss on the same key
-  // computes the same deterministic value.
+  // The evaluation runs outside the lock; a concurrent miss on the same
+  // key computes the same deterministic value.
   core::RateFunction rate(model.acf, model.mean, model.variance, bandwidth);
-  const core::RateResult result = rate.evaluate(buffer, hint);
+  const core::RateResult result = rate.evaluate(buffer);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rate_misses;
-    if (hint > 1) ++stats_.warm_starts;
     rates_.emplace(key, result);
     stats_.rate_entries = rates_.size();
   }
@@ -125,7 +112,7 @@ CacResult CacCache::admissible_br(const fit::ModelSpec& model,
   result.admissible = lo;
   // The search evaluated N = lo on its way here (lo is only ever assigned
   // from an evaluated, feasible probe), so this lookup is a guaranteed
-  // cache hit -- the "reuse, don't re-scan" contract of the admission
+  // cache hit -- the "reuse, don't re-evaluate" contract of the admission
   // service.
   result.log10_bop_at_max = log10_bop(model, problem, lo);
   return result;

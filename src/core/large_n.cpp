@@ -13,12 +13,6 @@ BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
                            n_sources);
 }
 
-BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
-                           std::size_t n_sources, std::size_t m_hint) {
-  return large_n_log10_bop(rate.evaluate(buffer_per_source, m_hint),
-                           buffer_per_source, n_sources);
-}
-
 BopPoint large_n_log10_bop(const RateResult& r, double buffer_per_source,
                            std::size_t n_sources) {
   util::require(n_sources >= 1, "large_n_log10_bop: need at least one source");

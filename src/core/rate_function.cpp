@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cts/core/simd.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/util/error.hpp"
 
@@ -16,87 +15,133 @@ RateFunction::RateFunction(std::shared_ptr<const AcfModel> acf, double mean,
                 "RateFunction: bandwidth must exceed the mean (stability)");
 }
 
+namespace {
+
+[[noreturn]] void throw_horizon_exceeded() {
+  throw util::NumericalError(
+      "RateFunction: CTS scan exceeded kMaxScan; the model may have "
+      "H too close to 1 or a non-summable objective");
+}
+
+}  // namespace
+
+void RateFunction::extend(std::size_t horizon) const {
+  if (horizon <= lines_) return;
+  growth_.ensure(horizon);
+  // Most lines stay on the envelope: size it like the V(m) table, not one
+  // reallocation per doubling from empty.
+  if (horizon > envelope_.capacity()) {
+    envelope_.reserve(std::max(horizon, 2 * envelope_.capacity()));
+  }
+  const double* inv2v = growth_.inv_table();
+  const double drift = bandwidth_ - mean_;
+  struct Line {
+    double slope;
+    double icpt;
+  };
+  auto line = [&](std::size_t m) {
+    const double slope = std::sqrt(inv2v[m]);
+    return Line{slope, drift * static_cast<double>(m) * slope};
+  };
+  // The two highest envelope lines, valid while the envelope holds at
+  // least one and two lines respectively.
+  Line top{0.0, 0.0};
+  Line below{0.0, 0.0};
+  const std::size_t size = envelope_.size();
+  if (size >= 1) top = line(envelope_[size - 1]);
+  if (size >= 2) below = line(envelope_[size - 2]);
+  for (std::size_t m = lines_ + 1; m <= horizon; ++m) {
+    const Line next = line(m);
+    // An earlier line with a slope no larger has a smaller intercept too,
+    // so this line lies above it for every b >= 0.
+    if (!envelope_.empty() && !(next.slope < top.slope)) continue;
+    // Pop the top while the new line undercuts it everywhere it was lowest:
+    // on [0, x) if it is the first line, else on [x_below, x) where
+    // x_below is its crossing with the line below it.
+    while (!envelope_.empty()) {
+      if (next.icpt > top.icpt &&
+          (envelope_.size() < 2 ||
+           (next.icpt - top.icpt) * (below.slope - top.slope) >
+               (top.icpt - below.icpt) * (top.slope - next.slope))) {
+        break;
+      }
+      envelope_.pop_back();
+      top = below;
+      if (envelope_.size() >= 2) {
+        below = line(envelope_[envelope_.size() - 2]);
+      }
+    }
+    envelope_.push_back(static_cast<std::uint32_t>(m));
+    below = top;
+    top = next;
+  }
+  lines_ = horizon;
+}
+
+RateResult RateFunction::envelope_min(double b) const {
+  const double* inv2v = growth_.inv_table();
+  const double drift = bandwidth_ - mean_;
+  auto objective = [&](std::size_t m) {
+    const double numerator = b + static_cast<double>(m) * drift;
+    return numerator * numerator * inv2v[m];
+  };
+  // Along the envelope the values at b fall to the envelope line and rise
+  // after it.
+  std::size_t lo = 0;
+  std::size_t hi = envelope_.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (objective(envelope_[mid + 1]) < objective(envelope_[mid])) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  // The envelope comes from rounded square roots and the objective rounds
+  // too, so near the minimum its values along the envelope need not be
+  // exactly unimodal: check both neighbours as well.  Strict < keeps the
+  // lowest m.
+  const std::size_t first = lo > 0 ? lo - 1 : 0;
+  const std::size_t last = std::min(lo + 1, envelope_.size() - 1);
+  RateResult best{objective(envelope_[first]), envelope_[first]};
+  for (std::size_t i = first + 1; i <= last; ++i) {
+    const double value = objective(envelope_[i]);
+    if (value < best.rate) best = {value, envelope_[i]};
+  }
+  return best;
+}
+
 RateResult RateFunction::evaluate(double buffer_per_source) const {
-  return evaluate(buffer_per_source, 1);
+  CTS_TRACE_SPAN("rate_fn.evaluate");
+  util::require(buffer_per_source >= 0.0,
+                "RateFunction::evaluate: buffer must be >= 0");
+  const double b = buffer_per_source;
+  // Guaranteed-coverage horizon: the worst-case CTS scaling over all H < 1
+  // handled in practice plus a generous multiplicative margin; with the
+  // kScanMargin * m* rule below this cannot stop before the global integer
+  // minimum for objectives whose tail is eventually increasing (true since
+  // V(m) = o(m^2)).  Validated against kMaxScan in double precision before
+  // any integer conversion: llround of a huge b/drift is undefined.
+  const double lrd_prediction =
+      kWorstCaseHurst / (1.0 - kWorstCaseHurst) * b / (bandwidth_ - mean_);
+  const double wanted = std::max(static_cast<double>(kMinScan),
+                                 kScanMargin * lrd_prediction);
+  if (!(wanted <= static_cast<double>(kMaxScan))) throw_horizon_exceeded();
+  extend(static_cast<std::size_t>(std::llround(wanted)));
+  for (;;) {
+    const RateResult best = envelope_min(b);
+    // Push the horizon while the minimum sits in its outer part.
+    const auto needed = static_cast<std::size_t>(
+        kScanMargin * static_cast<double>(best.critical_m));
+    if (needed > kMaxScan) throw_horizon_exceeded();
+    if (needed <= lines_) return best;
+    extend(needed);
+  }
 }
 
 RateResult RateFunction::evaluate(double buffer_per_source,
-                                  std::size_t m_hint) const {
-  // One span per buffer point (tens per curve), not per scanned m — the
-  // windowed scan below covers up to kMaxScan lags and must stay
-  // allocation-free beyond the shared V(m) table growth.
-  CTS_TRACE_SPAN("rate_fn.scan");
-  util::require(buffer_per_source >= 0.0,
-                "RateFunction::evaluate: buffer must be >= 0");
-  util::require(m_hint >= 1 && m_hint <= kMaxScan,
-                "RateFunction::evaluate: m_hint must be in [1, kMaxScan]");
-  const double b = buffer_per_source;
-  const double drift = bandwidth_ - mean_;
-
-  // Guaranteed-coverage scan horizon: the worst-case CTS scaling over all
-  // H < 1 handled in practice (H <= 0.98) plus a generous multiplicative
-  // margin; combined with the "keep going while improving" rule below this
-  // cannot stop before the global integer minimum for objectives whose
-  // tail is eventually increasing (true since V(m) = o(m^2)).
-  constexpr double kWorstCaseHurst = 0.98;
-  constexpr std::size_t kMinScan = 512;
-  constexpr double kScanMargin = 4.0;
-  const double lrd_prediction =
-      kWorstCaseHurst / (1.0 - kWorstCaseHurst) * b / drift;
-  // A warm start deep into the scan still gets the full multiplicative
-  // margin past the hint, so the stopping rule's coverage guarantee holds
-  // unchanged.  The initial horizon is validated against kMaxScan in
-  // double precision BEFORE any integer conversion: for huge b/drift the
-  // old llround-first path was undefined behaviour and silently produced
-  // an unclamped scan length.
-  const double wanted =
-      std::max({static_cast<double>(kMinScan), kScanMargin * lrd_prediction,
-                kScanMargin * static_cast<double>(m_hint)});
-  if (!(wanted <= static_cast<double>(kMaxScan))) {
-    throw util::NumericalError(
-        "RateFunction: CTS scan exceeded kMaxScan; the model may have "
-        "H too close to 1 or a non-summable objective");
-  }
-  std::size_t horizon = static_cast<std::size_t>(std::llround(wanted));
-
-  growth_.ensure(horizon);
-  RateResult best;
-  best.critical_m = m_hint;
-  {
-    const double md = static_cast<double>(m_hint);
-    const double numerator = b + md * drift;
-    best.rate = numerator * numerator * growth_.inv_table()[m_hint];
-  }
-  // Windowed scan: each window [lo, hi] is an argmin over the dispatched
-  // SIMD kernel.  Equivalent to the sequential scan-with-extension: within
-  // a window the last running-minimum update is the window argmin (strict
-  // <, lowest m on ties), improvements occur at increasing m, so the
-  // furthest horizon push — and the kMaxScan overflow check — happen at
-  // exactly the window argmin.
-  std::size_t lo = m_hint + 1;
-  while (lo <= horizon) {
-    const std::size_t hi = horizon;
-    const simd::ScanPoint point =
-        simd::scan_min(b, drift, growth_.inv_table(), lo, hi);
-    if (point.value < best.rate) {
-      best.rate = point.value;
-      best.critical_m = point.m;
-      // Push the horizon whenever the minimum keeps moving outward.
-      const auto extended = static_cast<std::size_t>(
-          std::llround(kScanMargin * static_cast<double>(point.m)));
-      if (extended > kMaxScan) {
-        throw util::NumericalError(
-            "RateFunction: CTS scan exceeded kMaxScan; the model may have "
-            "H too close to 1 or a non-summable objective");
-      }
-      if (extended > horizon) {
-        horizon = extended;
-        growth_.ensure(horizon);
-      }
-    }
-    lo = hi + 1;
-  }
-  return best;
+                                  std::size_t) const {
+  return evaluate(buffer_per_source);
 }
 
 double lrd_cts_slope(double hurst, double mean, double bandwidth) {

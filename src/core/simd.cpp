@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "cts/util/error.hpp"
@@ -31,28 +30,6 @@ namespace {
 // Scalar reference kernels.  These define the bit-level semantics the
 // vector versions must reproduce exactly.
 // ---------------------------------------------------------------------------
-
-inline double scan_objective(double b, double drift, const double* inv2v,
-                             std::size_t m) {
-  const double md = static_cast<double>(m);
-  const double numerator = b + md * drift;
-  return numerator * numerator * inv2v[m];
-}
-
-ScanPoint scan_min_scalar(double b, double drift, const double* inv2v,
-                          std::size_t m_lo, std::size_t m_hi) {
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  for (std::size_t m = m_lo + 1; m <= m_hi; ++m) {
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
 
 double dot_reversed_scalar(const double* a, const double* b_last,
                            std::size_t n) {
@@ -101,83 +78,6 @@ void scaled_real_stride2_scalar(const double* in, double norm, double* out,
 // ---------------------------------------------------------------------------
 // SSE2 kernels (2-wide doubles).
 // ---------------------------------------------------------------------------
-
-__attribute__((target("sse2"))) ScanPoint scan_min_sse2(
-    double b, double drift, const double* inv2v, std::size_t m_lo,
-    std::size_t m_hi) {
-  const std::size_t count = m_hi - m_lo + 1;
-  if (count < 4) return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  // Seed with the range's first element: on degenerate inputs where every
-  // objective value is +inf, the vector lanes never improve on their
-  // sentinels and the seed keeps the scalar kernel's answer (m_lo).
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  const __m128d vb = _mm_set1_pd(b);
-  const __m128d vdrift = _mm_set1_pd(drift);
-  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  // Two independent running-min accumulators (4 elements per iteration):
-  // a single accumulator's compare-and-select update is a loop-carried
-  // dependency chain that caps throughput far below the ALU width.  Argmin
-  // under strict < with lowest-m tie-breaking is evaluation-order
-  // independent, so the partition cannot change the result.  Sentinel
-  // lanes carry m = +inf and lose every tie in the final combine.
-  __m128d bv0 = inf, bv1 = inf;
-  __m128d bm0 = inf, bm1 = inf;
-  const double mlo_d = static_cast<double>(m_lo);
-  __m128d m0 = _mm_setr_pd(mlo_d, mlo_d + 1.0);
-  const __m128d two = _mm_set1_pd(2.0);
-  const __m128d four = _mm_set1_pd(4.0);
-  __m128d m1 = _mm_add_pd(m0, two);
-  std::size_t m = m_lo;
-  for (; m + 3 <= m_hi; m += 4) {
-    const __m128d i0 = _mm_loadu_pd(inv2v + m);
-    const __m128d i1 = _mm_loadu_pd(inv2v + m + 2);
-    const __m128d n0 = _mm_add_pd(vb, _mm_mul_pd(m0, vdrift));
-    const __m128d n1 = _mm_add_pd(vb, _mm_mul_pd(m1, vdrift));
-    const __m128d v0 = _mm_mul_pd(_mm_mul_pd(n0, n0), i0);
-    const __m128d v1 = _mm_mul_pd(_mm_mul_pd(n1, n1), i1);
-    // Strict < keeps the first (lowest-m) occurrence per lane.
-    const __m128d lt0 = _mm_cmplt_pd(v0, bv0);
-    const __m128d lt1 = _mm_cmplt_pd(v1, bv1);
-    bv0 = _mm_or_pd(_mm_and_pd(lt0, v0), _mm_andnot_pd(lt0, bv0));
-    bm0 = _mm_or_pd(_mm_and_pd(lt0, m0), _mm_andnot_pd(lt0, bm0));
-    bv1 = _mm_or_pd(_mm_and_pd(lt1, v1), _mm_andnot_pd(lt1, bv1));
-    bm1 = _mm_or_pd(_mm_and_pd(lt1, m1), _mm_andnot_pd(lt1, bm1));
-    m0 = _mm_add_pd(m0, four);
-    m1 = _mm_add_pd(m1, four);
-  }
-  for (; m + 1 <= m_hi; m += 2) {  // 2-wide cleanup on accumulator 0
-    const __m128d i0 = _mm_loadu_pd(inv2v + m);
-    const __m128d n0 = _mm_add_pd(vb, _mm_mul_pd(m0, vdrift));
-    const __m128d v0 = _mm_mul_pd(_mm_mul_pd(n0, n0), i0);
-    const __m128d lt0 = _mm_cmplt_pd(v0, bv0);
-    bv0 = _mm_or_pd(_mm_and_pd(lt0, v0), _mm_andnot_pd(lt0, bv0));
-    bm0 = _mm_or_pd(_mm_and_pd(lt0, m0), _mm_andnot_pd(lt0, bm0));
-    m0 = _mm_add_pd(m0, two);
-  }
-  double lane_v[4], lane_m[4];
-  _mm_storeu_pd(lane_v, bv0);
-  _mm_storeu_pd(lane_v + 2, bv1);
-  _mm_storeu_pd(lane_m, bm0);
-  _mm_storeu_pd(lane_m + 2, bm1);
-  for (int l = 0; l < 4; ++l) {
-    if (lane_v[l] < best.value ||
-        (lane_v[l] == best.value &&
-         lane_m[l] < static_cast<double>(best.m))) {
-      best.value = lane_v[l];
-      best.m = static_cast<std::size_t>(lane_m[l]);
-    }
-  }
-  for (; m <= m_hi; ++m) {  // tail (at most one element; highest m)
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
 
 __attribute__((target("sse2"))) double dot_reversed_sse2(const double* a,
                                                          const double* b_last,
@@ -251,104 +151,6 @@ __attribute__((target("sse2"))) void scaled_real_stride2_sse2(
 // ---------------------------------------------------------------------------
 // AVX2 kernels (4-wide doubles).
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) ScanPoint scan_min_avx2(double b, double drift,
-                                                        const double* inv2v,
-                                                        std::size_t m_lo,
-                                                        std::size_t m_hi) {
-  const std::size_t count = m_hi - m_lo + 1;
-  if (count < 8) return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  // Seed with the range's first element: on degenerate inputs where every
-  // objective value is +inf, the vector lanes never improve on their
-  // sentinels and the seed keeps the scalar kernel's answer (m_lo).
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d vdrift = _mm256_set1_pd(drift);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  // Four independent running-min accumulators (16 elements per iteration):
-  // a single accumulator's cmp->blend update is a loop-carried dependency
-  // chain whose ~6-cycle latency caps throughput far below the ALU width.
-  // Argmin under strict < with lowest-m tie-breaking is evaluation-order
-  // independent, so the partition cannot change the result.  Sentinel
-  // lanes carry m = +inf and lose every tie in the final combine.
-  __m256d bv0 = inf, bv1 = inf, bv2 = inf, bv3 = inf;
-  __m256d bm0 = inf, bm1 = inf, bm2 = inf, bm3 = inf;
-  const double mlo_d = static_cast<double>(m_lo);
-  __m256d m0 = _mm256_setr_pd(mlo_d, mlo_d + 1.0, mlo_d + 2.0, mlo_d + 3.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  const __m256d sixteen = _mm256_set1_pd(16.0);
-  __m256d m1 = _mm256_add_pd(m0, four);
-  __m256d m2 = _mm256_add_pd(m1, four);
-  __m256d m3 = _mm256_add_pd(m2, four);
-  std::size_t m = m_lo;
-  for (; m + 15 <= m_hi; m += 16) {
-    const __m256d i0 = _mm256_loadu_pd(inv2v + m);
-    const __m256d i1 = _mm256_loadu_pd(inv2v + m + 4);
-    const __m256d i2 = _mm256_loadu_pd(inv2v + m + 8);
-    const __m256d i3 = _mm256_loadu_pd(inv2v + m + 12);
-    const __m256d n0 = _mm256_add_pd(vb, _mm256_mul_pd(m0, vdrift));
-    const __m256d n1 = _mm256_add_pd(vb, _mm256_mul_pd(m1, vdrift));
-    const __m256d n2 = _mm256_add_pd(vb, _mm256_mul_pd(m2, vdrift));
-    const __m256d n3 = _mm256_add_pd(vb, _mm256_mul_pd(m3, vdrift));
-    const __m256d v0 = _mm256_mul_pd(_mm256_mul_pd(n0, n0), i0);
-    const __m256d v1 = _mm256_mul_pd(_mm256_mul_pd(n1, n1), i1);
-    const __m256d v2 = _mm256_mul_pd(_mm256_mul_pd(n2, n2), i2);
-    const __m256d v3 = _mm256_mul_pd(_mm256_mul_pd(n3, n3), i3);
-    // Strict < keeps the first (lowest-m) occurrence per lane.
-    const __m256d lt0 = _mm256_cmp_pd(v0, bv0, _CMP_LT_OQ);
-    const __m256d lt1 = _mm256_cmp_pd(v1, bv1, _CMP_LT_OQ);
-    const __m256d lt2 = _mm256_cmp_pd(v2, bv2, _CMP_LT_OQ);
-    const __m256d lt3 = _mm256_cmp_pd(v3, bv3, _CMP_LT_OQ);
-    bv0 = _mm256_blendv_pd(bv0, v0, lt0);
-    bm0 = _mm256_blendv_pd(bm0, m0, lt0);
-    bv1 = _mm256_blendv_pd(bv1, v1, lt1);
-    bm1 = _mm256_blendv_pd(bm1, m1, lt1);
-    bv2 = _mm256_blendv_pd(bv2, v2, lt2);
-    bm2 = _mm256_blendv_pd(bm2, m2, lt2);
-    bv3 = _mm256_blendv_pd(bv3, v3, lt3);
-    bm3 = _mm256_blendv_pd(bm3, m3, lt3);
-    m0 = _mm256_add_pd(m0, sixteen);
-    m1 = _mm256_add_pd(m1, sixteen);
-    m2 = _mm256_add_pd(m2, sixteen);
-    m3 = _mm256_add_pd(m3, sixteen);
-  }
-  for (; m + 3 <= m_hi; m += 4) {  // 4-wide cleanup on accumulator 0
-    const __m256d i0 = _mm256_loadu_pd(inv2v + m);
-    const __m256d n0 = _mm256_add_pd(vb, _mm256_mul_pd(m0, vdrift));
-    const __m256d v0 = _mm256_mul_pd(_mm256_mul_pd(n0, n0), i0);
-    const __m256d lt0 = _mm256_cmp_pd(v0, bv0, _CMP_LT_OQ);
-    bv0 = _mm256_blendv_pd(bv0, v0, lt0);
-    bm0 = _mm256_blendv_pd(bm0, m0, lt0);
-    m0 = _mm256_add_pd(m0, four);
-  }
-  double lane_v[16], lane_m[16];
-  _mm256_storeu_pd(lane_v, bv0);
-  _mm256_storeu_pd(lane_v + 4, bv1);
-  _mm256_storeu_pd(lane_v + 8, bv2);
-  _mm256_storeu_pd(lane_v + 12, bv3);
-  _mm256_storeu_pd(lane_m, bm0);
-  _mm256_storeu_pd(lane_m + 4, bm1);
-  _mm256_storeu_pd(lane_m + 8, bm2);
-  _mm256_storeu_pd(lane_m + 12, bm3);
-  for (int l = 0; l < 16; ++l) {
-    if (lane_v[l] < best.value ||
-        (lane_v[l] == best.value &&
-         lane_m[l] < static_cast<double>(best.m))) {
-      best.value = lane_v[l];
-      best.m = static_cast<std::size_t>(lane_m[l]);
-    }
-  }
-  for (; m <= m_hi; ++m) {  // tail (at most three elements; highest m)
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
 
 __attribute__((target("avx2"))) double dot_reversed_avx2(const double* a,
                                                          const double* b_last,
@@ -492,21 +294,6 @@ Kind parse_kind(std::string_view name) {
   if (name == "avx2") return Kind::kAvx2;
   throw util::InvalidArgument("CTS_SIMD: unknown kind '" + std::string(name) +
                               "' (expected scalar, sse2, or avx2)");
-}
-
-ScanPoint scan_min(double b, double drift, const double* inv2v,
-                   std::size_t m_lo, std::size_t m_hi) {
-  util::require(m_lo >= 1 && m_lo <= m_hi, "simd::scan_min: need 1 <= lo <= hi");
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      return scan_min_avx2(b, drift, inv2v, m_lo, m_hi);
-    case Kind::kSse2:
-      return scan_min_sse2(b, drift, inv2v, m_lo, m_hi);
-#endif
-    default:
-      return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  }
 }
 
 double dot_reversed(const double* a, const double* b_last, std::size_t n) {

@@ -1,5 +1,6 @@
 #include "cts/core/variance_growth.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cts/util/error.hpp"
@@ -15,8 +16,14 @@ VarianceGrowth::VarianceGrowth(std::shared_ptr<const AcfModel> acf,
 
 void VarianceGrowth::ensure(std::size_t m) const {
   if (v_.size() > m) return;
-  v_.reserve(m + 1);
-  inv2v_.reserve(m + 1);
+  // Geometric capacity growth: a sweep that asks for a slightly longer
+  // horizon at every buffer point must not reallocate and copy both tables
+  // each time.  Only the lags up to m are materialised (table_size()).
+  if (m + 1 > v_.capacity()) {
+    const std::size_t capacity = std::max(m + 1, 2 * v_.capacity());
+    v_.reserve(capacity);
+    inv2v_.reserve(capacity);
+  }
   while (v_.size() <= m) {
     const std::size_t i = v_.size();  // next lag to absorb
     const double r = acf_->at(i);

@@ -12,8 +12,8 @@ namespace cts::sim {
 
 namespace {
 
-/// `span_name` attributes the whole buffer-grid scan (one span per curve,
-/// not per point) to a named phase in --trace/--perf output, so the
+/// `span_name` attributes the whole buffer grid (one span per curve, not
+/// per point) to a named phase in --trace/--perf output, so the
 /// analytic benches' phase tables show where the rate-function work went
 /// instead of lumping everything under the "bench" root span.
 AnalyticCurve asymptotic_curve(const fit::ModelSpec& model,
@@ -28,24 +28,21 @@ AnalyticCurve asymptotic_curve(const fit::ModelSpec& model,
   curve.buffer_ms = buffer_ms;
   curve.log10_bop.reserve(buffer_ms.size());
   curve.critical_m.reserve(buffer_ms.size());
-  // Warm-start each point's CTS scan from the previous point's m*: grids
-  // sweep b upward and m*_b is non-decreasing in b (paper Thm. 2), so the
-  // hint never skips the minimiser and the curve stays bit-identical to
-  // per-point cold scans (asserted by test_curve_bit_identity).  A
-  // non-monotone grid resets the hint, preserving correctness for
-  // arbitrary buffer lists.
-  std::size_t hint = 1;
-  double prev_b = 0.0;
-  for (const double ms : buffer_ms) {
-    const double total_cells = geometry.buffer_ms_to_cells(ms);
-    const double b = total_cells / static_cast<double>(geometry.n_sources);
-    if (b < prev_b) hint = 1;
+  std::vector<double> buffers(buffer_ms.size());
+  for (std::size_t i = 0; i < buffer_ms.size(); ++i) {
+    buffers[i] = geometry.buffer_ms_to_cells(buffer_ms[i]) /
+                 static_cast<double>(geometry.n_sources);
+  }
+  // The largest buffer has the longest horizon: evaluating it first sizes
+  // the V(m) table and the envelope once.  Envelope answers do not depend
+  // on query order, so the curve is unchanged.
+  if (!buffers.empty()) {
+    (void)rate.evaluate(*std::max_element(buffers.begin(), buffers.end()));
+  }
+  for (const double b : buffers) {
     const core::BopPoint point =
-        bahadur_rao ? core::br_log10_bop(rate, b, geometry.n_sources, hint)
-                    : core::large_n_log10_bop(rate, b, geometry.n_sources,
-                                              hint);
-    hint = point.critical_m;
-    prev_b = b;
+        bahadur_rao ? core::br_log10_bop(rate, b, geometry.n_sources)
+                    : core::large_n_log10_bop(rate, b, geometry.n_sources);
     curve.log10_bop.push_back(point.log10_bop);
     curve.critical_m.push_back(point.critical_m);
   }

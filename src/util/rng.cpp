@@ -1,5 +1,7 @@
 #include "cts/util/rng.hpp"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "cts/util/error.hpp"
@@ -89,7 +91,13 @@ std::uint64_t poisson_small(Xoshiro256pp& rng, double mean) {
   return k;
 }
 
-double log_factorial(double k) { return std::lgamma(k + 1.0); }
+// lgamma_r, not std::lgamma: std::lgamma writes the global `signgam`, a
+// data race when replication threads draw Poisson variates concurrently.
+// Same values.
+double log_factorial(double k) {
+  int sign = 0;
+  return ::lgamma_r(k + 1.0, &sign);
+}
 
 // PTRS transformed rejection (W. Hormann, "The transformed rejection method
 // for generating Poisson random variables", 1993).  Valid for mean >= 10.

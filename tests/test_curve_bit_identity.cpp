@@ -1,9 +1,9 @@
-// Curve-level bit-identity for the warm-started, SIMD-dispatched analytic
-// path: for every zoo model and fig operating point, the AnalyticCurve
-// computed with warm-started scans under the best dispatch kind must be
-// byte-identical to (a) per-point cold scans and (b) the forced-scalar
-// path.  Plus a threads x shards matrix proving the batched Davies-Harte
-// generation preserves the replication layout invariance.
+// Curve-level bit-identity for the analytic path: for every zoo model and
+// fig operating point, the AnalyticCurve answered from the CTS envelope
+// must be byte-identical to (a) per-point cold scalar scans (the test
+// oracle in cts_scan_oracle.hpp) and (b) the same curve under a forced
+// scalar SIMD dispatch.  Plus a threads x shards matrix proving the batched
+// Davies-Harte generation preserves the replication layout invariance.
 
 #include <cstdio>
 #include <string>
@@ -17,6 +17,7 @@
 #include "cts/core/simd.hpp"
 #include "cts/fit/model_zoo.hpp"
 #include "cts/sim/curves.hpp"
+#include "cts_scan_oracle.hpp"
 
 namespace cc = cts::core;
 namespace cf = cts::fit;
@@ -70,14 +71,14 @@ TEST(CurveBitIdentity, WarmStartMatchesColdScanEverywhere) {
       const cf::ModelSpec model = cf::model_from_id(id);
       const cm::AnalyticCurve br = cm::br_curve(model, g, grid);
       const cm::AnalyticCurve ln = cm::large_n_curve(model, g, grid);
-      // Cold reference: a fresh rate function evaluated per point with no
-      // hint threading.
-      cc::RateFunction rate(model.acf, model.mean, model.variance,
-                            g.bandwidth_per_source);
+      // Cold reference: the scalar scan oracle, per point.
+      const cts::testing::ScanOracle oracle(model.acf, model.mean,
+                                            model.variance,
+                                            g.bandwidth_per_source);
       for (std::size_t i = 0; i < grid.size(); ++i) {
         const double b = g.buffer_ms_to_cells(grid[i]) /
                          static_cast<double>(g.n_sources);
-        const cc::RateResult cold = rate.evaluate(b);
+        const cc::RateResult cold = oracle.evaluate(b);
         const cc::BopPoint br_ref = cc::br_log10_bop(cold, b, g.n_sources);
         const cc::BopPoint ln_ref =
             cc::large_n_log10_bop(cold, b, g.n_sources);
@@ -95,6 +96,8 @@ TEST(CurveBitIdentity, WarmStartMatchesColdScanEverywhere) {
 }
 
 TEST(CurveBitIdentity, DispatchedCurveJsonMatchesForcedScalar) {
+  // No SIMD kernel sits on the analytic path; the dispatch kind must not
+  // reach the curves.
   ForceGuard guard;
   const std::vector<double> grid = cm::buffer_grid_ms(0.5, 100.0, 30);
   for (const cm::MuxGeometry& g : fig_operating_points()) {

@@ -142,26 +142,6 @@ TEST(RateFunction, HugeBufferThrowsInsteadOfUnclampedScan) {
   EXPECT_NO_THROW(rate.evaluate(50000.0));
 }
 
-TEST(RateFunction, WarmStartChainIsBitIdenticalToColdScan) {
-  // m*_b is non-decreasing in b, so chaining each point's m* into the next
-  // evaluation must reproduce the cold scan exactly (same contract the
-  // CacCache and the curve sweeps rely on).
-  for (const auto& acf : {std::shared_ptr<const cc::AcfModel>(
-                              std::make_shared<cc::GeometricAcf>(0.975)),
-                          std::shared_ptr<const cc::AcfModel>(
-                              std::make_shared<cc::ExactLrdAcf>(0.9, 0.9))}) {
-    const cc::RateFunction rate(acf, 500.0, 5000.0, 526.0);
-    std::size_t hint = 1;
-    for (double b = 0.0; b <= 3000.0; b += 50.0) {
-      const cc::RateResult cold = rate.evaluate(b);
-      const cc::RateResult warm = rate.evaluate(b, hint);
-      EXPECT_EQ(warm.critical_m, cold.critical_m) << acf->name() << " b=" << b;
-      EXPECT_EQ(warm.rate, cold.rate) << acf->name() << " b=" << b;
-      hint = warm.critical_m;
-    }
-  }
-}
-
 TEST(RateFunction, RejectsNegativeBuffer) {
   const cc::RateFunction rate = white_rate(500.0, 5000.0, 538.0);
   EXPECT_THROW(rate.evaluate(-1.0), cu::InvalidArgument);

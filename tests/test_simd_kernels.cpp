@@ -30,38 +30,6 @@ std::vector<cs::Kind> supported_kinds() {
   return kinds;
 }
 
-/// Sequential reference scan: running minimum under strict <, over the
-/// reciprocal table 1/(2 V(m)) the production scan consumes.
-cs::ScanPoint reference_scan(double b, double drift,
-                             const std::vector<double>& inv2v, std::size_t lo,
-                             std::size_t hi) {
-  cs::ScanPoint best;
-  best.m = 0;
-  best.value = 0.0;
-  for (std::size_t m = lo; m <= hi; ++m) {
-    const double md = static_cast<double>(m);
-    const double num = b + md * drift;
-    const double value = num * num * inv2v[m];
-    if (best.m == 0 || value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
-
-std::vector<double> random_inv2v_table(std::size_t size, std::uint64_t seed) {
-  cu::Xoshiro256pp rng(seed);
-  std::vector<double> inv2v(size);
-  inv2v[0] = 0.0;  // unused
-  double v = 1.0;
-  for (std::size_t m = 1; m < size; ++m) {
-    v += 0.5 + rng.uniform01() * 2.0;  // V increasing, positive
-    inv2v[m] = 1.0 / (2.0 * v);
-  }
-  return inv2v;
-}
-
 }  // namespace
 
 TEST(SimdDispatch, NamesRoundTrip) {
@@ -83,66 +51,6 @@ TEST(SimdDispatch, ForceSelectsAndClears) {
     EXPECT_EQ(cs::active(), kind);
   }
   cs::clear_force();
-}
-
-TEST(SimdScanMin, MatchesSequentialReferenceOnEveryKind) {
-  ForceGuard guard;
-  const std::vector<double> inv2v = random_inv2v_table(20000, 1234);
-  const double b = 400.0;
-  const double drift = 12.0;
-  // Window sizes cross the vector-width fallbacks (SSE2 < 4, AVX2 < 8) and
-  // both alignment parities of the start index.
-  for (const std::size_t lo : {1u, 2u, 3u, 7u, 64u, 1001u}) {
-    for (const std::size_t len :
-         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 100u, 4097u, 18000u}) {
-      const std::size_t hi = std::min(lo + len - 1, inv2v.size() - 1);
-      const cs::ScanPoint ref = reference_scan(b, drift, inv2v, lo, hi);
-      for (const cs::Kind kind : supported_kinds()) {
-        cs::force(kind);
-        const cs::ScanPoint got =
-            cs::scan_min(b, drift, inv2v.data(), lo, hi);
-        EXPECT_EQ(got.m, ref.m) << cs::kind_name(kind) << " lo=" << lo
-                                << " hi=" << hi;
-        EXPECT_EQ(got.value, ref.value)
-            << cs::kind_name(kind) << " lo=" << lo << " hi=" << hi;
-      }
-    }
-  }
-}
-
-TEST(SimdScanMin, TiesResolveToLowestM) {
-  ForceGuard guard;
-  // drift = 0 and a constant reciprocal table make every objective value
-  // equal, so the argmin must come back as the window start on every kind.
-  std::vector<double> inv2v(4096, 0.25);
-  inv2v[0] = 0.0;
-  for (const cs::Kind kind : supported_kinds()) {
-    cs::force(kind);
-    for (const std::size_t lo : {1u, 5u, 9u}) {
-      const cs::ScanPoint got =
-          cs::scan_min(3.0, 0.0, inv2v.data(), lo, 4000);
-      EXPECT_EQ(got.m, lo) << cs::kind_name(kind);
-    }
-  }
-}
-
-TEST(SimdScanMin, RandomTablesAgreeAcrossKinds) {
-  ForceGuard guard;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const std::vector<double> inv2v = random_inv2v_table(5000, seed);
-    cu::Xoshiro256pp rng(seed ^ 0xABCDEF);
-    const double b = rng.uniform01() * 1000.0;
-    const double drift = 1.0 + rng.uniform01() * 40.0;
-    cs::force(cs::Kind::kScalar);
-    const cs::ScanPoint ref = cs::scan_min(b, drift, inv2v.data(), 1, 4999);
-    for (const cs::Kind kind : supported_kinds()) {
-      cs::force(kind);
-      const cs::ScanPoint got = cs::scan_min(b, drift, inv2v.data(), 1, 4999);
-      EXPECT_EQ(got.m, ref.m) << cs::kind_name(kind) << " seed=" << seed;
-      EXPECT_EQ(got.value, ref.value)
-          << cs::kind_name(kind) << " seed=" << seed;
-    }
-  }
 }
 
 TEST(SimdDotReversed, BitIdenticalAcrossKindsAndCloseToNaive) {

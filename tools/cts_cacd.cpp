@@ -18,9 +18,8 @@
 //   * cts.cac.v1 — a batch of admission/BOP queries against one source
 //     model (zoo id or inline spec; see include/cts/net/cac.hpp).  Every
 //     decision goes through a daemon-lifetime atm::CacCache: rate-function
-//     scans are memoized per (model, c, b), cache misses warm-start their
-//     CTS scan from the nearest cached buffer point, and opt-in "bop"
-//     probes may interpolate between cached grid points.  Admit answers
+//     evaluations are memoized per (model, c, b), and opt-in "bop" probes
+//     may interpolate between cached grid points.  Admit answers
 //     are bit-identical to direct admissible_connections_br/_eb calls.
 //   * cts.statsreq.v1 — replies immediately with a cts.stats.v1 snapshot
 //     (requests in flight / ok / failed, the metrics registry including
@@ -217,7 +216,6 @@ void add_cache_gauges(const atm::CacCache& cache, obs::MetricsShard* shard) {
   const atm::CacCache::Stats st = cache.stats();
   shard->gauge("cacd.cache_rate_hits", static_cast<double>(st.rate_hits));
   shard->gauge("cacd.cache_rate_misses", static_cast<double>(st.rate_misses));
-  shard->gauge("cacd.cache_warm_starts", static_cast<double>(st.warm_starts));
   shard->gauge("cacd.cache_interpolations",
                static_cast<double>(st.interpolations));
   shard->gauge("cacd.cache_entries", static_cast<double>(st.rate_entries));
