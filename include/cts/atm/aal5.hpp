@@ -1,18 +1,13 @@
-// AAL5 segmentation and reassembly (ITU I.363.5).
+// AAL5 overhead accounting (ITU I.363.5).
 //
 // The concrete path from "a video frame of X bytes" to the ATM cells the
 // multiplexer counts: an AAL5 CPCS-PDU is the payload plus padding and an
-// 8-byte trailer (UU, CPI, 16-bit length, CRC-32), segmented into 48-byte
-// cell payloads; the final cell of a PDU is marked via the PT field's
-// AAU bit (PT = 0b001).  Reassembly verifies length and CRC-32.
+// 8-byte trailer (UU, CPI, 16-bit length, CRC-32), carried in 48-byte cell
+// payloads.
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "cts/atm/cell.hpp"
 
 namespace cts::obs {
 class MetricsShard;
@@ -20,24 +15,9 @@ class MetricsShard;
 
 namespace cts::atm {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected, init/final 0xFFFFFFFF) as
-/// used by the AAL5 trailer.
-std::uint32_t crc32_ieee(const std::uint8_t* data, std::size_t len);
-
 /// Number of cells an AAL5 PDU with `payload_bytes` of user data needs
 /// (payload + pad + 8-byte trailer, ceiling to 48-byte cells).
 std::uint64_t aal5_cells_for_payload(std::uint64_t payload_bytes);
-
-/// Segments `payload` into ATM cells on the given VPI/VCI.  The last cell
-/// carries PT = 0b001 (AAU = 1, "end of CPCS-PDU").
-std::vector<Cell> aal5_segment(const std::vector<std::uint8_t>& payload,
-                               std::uint8_t vpi, std::uint16_t vci);
-
-/// Reassembles one AAL5 PDU from cells (in order, same VC).  Returns
-/// std::nullopt on trailer/CRC/length mismatch or a missing end-of-PDU
-/// marker.
-std::optional<std::vector<std::uint8_t>> aal5_reassemble(
-    const std::vector<Cell>& cells);
 
 /// Frame-level AAL5 overhead accounting for the scenario pipeline
 /// (cts/sim/scenario_run.hpp): one frame of X fluid cells is treated as

@@ -103,6 +103,8 @@ class WhiteAcf final : public AcfModel {
 /// paper's example of an ASYMPTOTIC LRD process (Section 2):
 ///   r(k) = r(k-1) * (k - 1 + d) / (k - d),  r(0) = 1,  d = H - 1/2.
 /// Unlike the exact-LRD family, the power law only holds in the tail.
+/// at() grows a lag cache on demand, so one instance must not be read
+/// from several threads at once.
 class FarimaAcf final : public AcfModel {
  public:
   /// `d` in (0, 1/2); H = d + 1/2.

@@ -6,17 +6,13 @@
 // user/system CPU time, peak RSS and context switches to exactly the
 // measured region.
 //
-// Hardware counting goes through the SamplerBackend interface.  The
-// preferred backend opens perf_event_open counters (cycles, instructions,
+// PerfCounterGroup opens perf_event_open counters (cycles, instructions,
 // cache and branch events) on the calling process with inherit=1 so worker
 // threads spawned later are counted too.  When that syscall is unavailable
 // (non-Linux build, seccomp filter, missing PMU, perf_event_paranoid) the
-// PerfCounterGroup facade degrades to the portable tsc backend — a raw
-// rdtsc tick count on x86, steady-clock nanoseconds elsewhere, reported as
-// the single counter "cycles" — instead of reporting nothing: degraded
-// telemetry with a recorded note beats a hole in the data.  HwCounters
-// names the backend that produced it ("perf_event" / "tsc") so consumers
-// and tests can tell full counters from the degraded single-counter form.
+// group reports hardware counters as unavailable, with the reason, instead
+// of substituting a pseudo-counter: wall time is already in
+// ResourceUsage.
 //
 // PerfReport bundles one run's resources + counters + span self-time table
 // (see span_stats.hpp) into the cts.perf.v1 JSON document written by the
@@ -25,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -65,15 +60,12 @@ class ResourceProbe {
   std::int64_t invol_start_ = 0;
 };
 
-/// One read of the hardware counters.  With the perf_event backend,
-/// `values` holds only the counters that actually opened, in a fixed order
-/// (cycles, instructions, cache_references, cache_misses, branches,
-/// branch_misses); the degraded tsc backend reports only "cycles".
+/// One read of the hardware counters.  `values` holds only the counters
+/// that actually opened, in a fixed order (cycles, instructions,
+/// cache_references, cache_misses, branches, branch_misses).
 struct HwCounters {
   bool available = false;
-  std::string backend;             ///< "perf_event" / "tsc"; "" if !available
   std::string unavailable_reason;  ///< set when !available
-  std::string note;                ///< degradation note (tsc fallback path)
   std::vector<std::pair<std::string, std::uint64_t>> values;
 
   /// instructions / cycles; 0 when either counter is absent or zero.
@@ -82,35 +74,11 @@ struct HwCounters {
   std::uint64_t value(const std::string& name) const noexcept;
 };
 
-/// A source of hardware(-ish) counters over a measured region.  start()
-/// arms the counters, stop() reads them.  Implementations never throw:
-/// failure to open a counter source is reported through
-/// available()/unavailable_reason(), and consumers record the reason.
-class SamplerBackend {
- public:
-  virtual ~SamplerBackend() = default;
-
-  virtual const char* name() const noexcept = 0;  ///< "perf_event", "tsc"
-  virtual bool available() const noexcept = 0;
-  virtual std::string unavailable_reason() const = 0;
-  virtual void start() noexcept = 0;
-  virtual HwCounters stop() noexcept = 0;
-};
-
-/// The perf_event_open backend.  available()==false (with a reason) on
-/// non-Linux builds or when the syscall is denied; never null.
-std::unique_ptr<SamplerBackend> make_perf_event_backend();
-
-/// The portable cycles fallback: rdtsc ticks on x86, steady-clock
-/// nanoseconds elsewhere, reported as the single counter "cycles".
-/// Always available.
-std::unique_ptr<SamplerBackend> make_tsc_backend();
-
-/// The backend-selecting facade the bench harness instruments through:
-/// perf_event when it opens, otherwise the tsc fallback with the
-/// perf_event failure recorded as the HwCounters degradation note.
-/// Construction opens the counters disabled; start() resets and enables
-/// them, stop() disables and reads.  Never throws.
+/// The perf_event_open counter group the bench harness instruments
+/// through.  Construction opens the counters disabled; start() resets and
+/// enables them, stop() disables and reads.  When no counter opens,
+/// available() is false and stop() returns {available:false, reason}.
+/// Never throws.
 class PerfCounterGroup {
  public:
   PerfCounterGroup();
@@ -119,19 +87,20 @@ class PerfCounterGroup {
   PerfCounterGroup(const PerfCounterGroup&) = delete;
   PerfCounterGroup& operator=(const PerfCounterGroup&) = delete;
 
-  bool available() const noexcept;
-  /// "" while any backend (including the fallback) is delivering counts.
+  bool available() const noexcept { return !slots_.empty(); }
+  /// Why no counter opened; "" while available().
   const std::string& unavailable_reason() const noexcept { return reason_; }
-  /// Name of the active backend ("perf_event" / "tsc").
-  const char* backend_name() const noexcept;
 
   void start() noexcept;
   HwCounters stop() noexcept;
 
  private:
-  std::unique_ptr<SamplerBackend> backend_;
-  std::string reason_;  ///< only set if no backend could be constructed
-  std::string note_;    ///< why perf_event was not used (fallback path)
+  struct Slot {
+    const char* name;
+    int fd;
+  };
+  std::vector<Slot> slots_;
+  std::string reason_;
 };
 
 /// One run's perf telemetry, serialised as the cts.perf.v1 JSON schema:
@@ -139,8 +108,8 @@ class PerfCounterGroup {
 ///   {"schema":"cts.perf.v1","info":{...},
 ///    "resources":{"wall_s":...,"user_s":...,"sys_s":...,"max_rss_kb":...,
 ///                 "ctx_voluntary":...,"ctx_involuntary":...},
-///    "hw":{"available":true,"backend":"perf_event"|"tsc",
-///          "counters":{...},"ipc":...[,"note":"..."]}
+///    "hw":{"available":true,"backend":"perf_event",
+///          "counters":{...},"ipc":...}
 ///        | {"available":false,"reason":"..."},
 ///    "spans":[{"name":...,"count":...,"total_us":...,"self_us":...,
 ///              "min_us":...,"max_us":...},...],

@@ -1,128 +1,18 @@
 #include "cts/atm/aal5.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
+#include "cts/atm/cell.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/trace.hpp"
-#include "cts/util/error.hpp"
 
 namespace cts::atm {
 
-namespace {
-
-constexpr std::size_t kTrailerBytes = 8;
-
-std::array<std::uint32_t, 256> build_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32_ieee(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = build_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
+constexpr std::uint64_t kTrailerBytes = 8;
 
 std::uint64_t aal5_cells_for_payload(std::uint64_t payload_bytes) {
   const std::uint64_t total = payload_bytes + kTrailerBytes;
   return (total + kPayloadBytes - 1) / kPayloadBytes;
-}
-
-std::vector<Cell> aal5_segment(const std::vector<std::uint8_t>& payload,
-                               std::uint8_t vpi, std::uint16_t vci) {
-  CTS_TRACE_SPAN("atm.aal5.segment");
-  util::require(payload.size() <= 65535,
-                "aal5_segment: CPCS-PDU payload limited to 65535 bytes");
-  const std::uint64_t cells = aal5_cells_for_payload(payload.size());
-  const std::size_t pdu_bytes = static_cast<std::size_t>(cells) *
-                                kPayloadBytes;
-  std::vector<std::uint8_t> pdu(pdu_bytes, 0);
-  std::copy(payload.begin(), payload.end(), pdu.begin());
-  // Trailer: CPCS-UU (0), CPI (0), length (16 bits), CRC-32 over the whole
-  // PDU including the trailer with the CRC field zeroed.
-  const std::size_t t = pdu_bytes - kTrailerBytes;
-  pdu[t + 0] = 0;  // CPCS-UU
-  pdu[t + 1] = 0;  // CPI
-  pdu[t + 2] = static_cast<std::uint8_t>((payload.size() >> 8) & 0xFF);
-  pdu[t + 3] = static_cast<std::uint8_t>(payload.size() & 0xFF);
-  const std::uint32_t crc = crc32_ieee(pdu.data(), pdu_bytes - 4);
-  pdu[t + 4] = static_cast<std::uint8_t>((crc >> 24) & 0xFF);
-  pdu[t + 5] = static_cast<std::uint8_t>((crc >> 16) & 0xFF);
-  pdu[t + 6] = static_cast<std::uint8_t>((crc >> 8) & 0xFF);
-  pdu[t + 7] = static_cast<std::uint8_t>(crc & 0xFF);
-
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.add("atm.aal5.segmented_pdus");
-  registry.add("atm.aal5.segmented_cells", cells);
-
-  std::vector<Cell> out(static_cast<std::size_t>(cells));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].header.vpi = vpi;
-    out[i].header.vci = vci;
-    out[i].header.pt = (i + 1 == out.size()) ? 0b001 : 0b000;
-    for (std::size_t b = 0; b < kPayloadBytes; ++b) {
-      out[i].payload[b] = pdu[i * kPayloadBytes + b];
-    }
-  }
-  return out;
-}
-
-namespace {
-
-std::optional<std::vector<std::uint8_t>> reassemble_impl(
-    const std::vector<Cell>& cells) {
-  if (cells.empty()) return std::nullopt;
-  // End-of-PDU marker must be on the last cell and only there.
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const bool aau = (cells[i].header.pt & 0b001) != 0;
-    if (aau != (i + 1 == cells.size())) return std::nullopt;
-  }
-  std::vector<std::uint8_t> pdu;
-  pdu.reserve(cells.size() * kPayloadBytes);
-  for (const Cell& cell : cells) {
-    pdu.insert(pdu.end(), cell.payload.begin(), cell.payload.end());
-  }
-  const std::size_t t = pdu.size() - kTrailerBytes;
-  const std::size_t length = (static_cast<std::size_t>(pdu[t + 2]) << 8) |
-                             pdu[t + 3];
-  if (length > t) return std::nullopt;  // impossible payload length
-  // Pad region between payload and trailer must fit in the PDU.
-  const std::uint32_t expected =
-      (static_cast<std::uint32_t>(pdu[t + 4]) << 24) |
-      (static_cast<std::uint32_t>(pdu[t + 5]) << 16) |
-      (static_cast<std::uint32_t>(pdu[t + 6]) << 8) |
-      static_cast<std::uint32_t>(pdu[t + 7]);
-  if (crc32_ieee(pdu.data(), pdu.size() - 4) != expected) {
-    return std::nullopt;
-  }
-  pdu.resize(length);
-  return pdu;
-}
-
-}  // namespace
-
-std::optional<std::vector<std::uint8_t>> aal5_reassemble(
-    const std::vector<Cell>& cells) {
-  CTS_TRACE_SPAN("atm.aal5.reassemble");
-  std::optional<std::vector<std::uint8_t>> pdu = reassemble_impl(cells);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.add(pdu ? "atm.aal5.reassembled_pdus"
-                   : "atm.aal5.reassembly_errors");
-  return pdu;
 }
 
 double Aal5Framer::add(double frame_cells) {

@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "cts/obs/metrics.hpp"
-#include "cts/obs/trace.hpp"
-#include "cts/util/error.hpp"
-
 namespace cts::atm {
-
-void PrioritySharingConfig::validate() const {
-  util::require(capacity_cells > 0.0,
-                "PrioritySharingConfig: capacity must be > 0");
-  util::require(buffer_cells >= 0.0,
-                "PrioritySharingConfig: buffer must be >= 0");
-  util::require(threshold_cells >= 0.0 &&
-                    threshold_cells <= buffer_cells,
-                "PrioritySharingConfig: need 0 <= threshold <= buffer");
-}
 
 // Exact within-frame fluid dynamics for the two-priority policy.
 //
@@ -117,55 +103,6 @@ PriorityFrameOutcome evolve_priority_frame(double q0, double ah, double al,
   }
   out.q = std::clamp(q, 0.0, b);
   return out;
-}
-
-PrioritySharingResult run_partial_buffer_sharing(
-    std::vector<std::unique_ptr<proc::FrameSource>>& high_sources,
-    std::vector<std::unique_ptr<proc::FrameSource>>& low_sources,
-    const PrioritySharingConfig& config) {
-  CTS_TRACE_SPAN("atm.priority.run");
-  config.validate();
-  util::require(!high_sources.empty() || !low_sources.empty(),
-                "run_partial_buffer_sharing: no sources");
-
-  PrioritySharingResult result;
-  result.frames = config.frames;
-  double w = 0.0;
-
-  const std::uint64_t total = config.warmup_frames + config.frames;
-  for (std::uint64_t n = 0; n < total; ++n) {
-    double high = 0.0;
-    for (auto& s : high_sources) high += std::max(s->next_frame(), 0.0);
-    double low = 0.0;
-    for (auto& s : low_sources) low += std::max(s->next_frame(), 0.0);
-
-    const PriorityFrameOutcome outcome =
-        evolve_priority_frame(w, high, low, config.capacity_cells,
-                              config.threshold_cells, config.buffer_cells);
-    w = outcome.q;
-    if (n >= config.warmup_frames) {
-      result.high_arrived += high;
-      result.low_arrived += low;
-      result.high_lost += outcome.high_lost;
-      result.low_lost += outcome.low_lost;
-    }
-  }
-
-  // One registry merge per run (never per frame), matching the
-  // accumulate-then-reduce idiom of the obs layer.
-  obs::MetricsShard shard;
-  record_priority_sharing(result, shard);
-  obs::MetricsRegistry::global().merge(shard);
-  return result;
-}
-
-void record_priority_sharing(const PrioritySharingResult& result,
-                             obs::MetricsShard& shard) {
-  shard.add("atm.priority.frames", result.frames);
-  shard.add_sum("atm.priority.high_arrived", result.high_arrived);
-  shard.add_sum("atm.priority.high_lost", result.high_lost);
-  shard.add_sum("atm.priority.low_arrived", result.low_arrived);
-  shard.add_sum("atm.priority.low_lost", result.low_lost);
 }
 
 }  // namespace cts::atm

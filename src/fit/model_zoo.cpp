@@ -234,13 +234,14 @@ ModelSpec make_farima(double d, const PaperConstants& constants) {
   spec.mean = constants.mean;
   spec.variance = constants.variance;
   spec.acf = std::make_shared<core::FarimaAcf>(d);
-  const auto acf = spec.acf;
   const double mean = constants.mean;
   const double variance = constants.variance;
-  spec.make_source = [acf, mean, variance](std::uint64_t seed)
+  // Each source gets its own ACF: FarimaAcf grows its lag cache on demand,
+  // so one instance shared by sources built on replication threads races.
+  spec.make_source = [d, mean, variance](std::uint64_t seed)
       -> std::unique_ptr<proc::FrameSource> {
-    return std::make_unique<proc::GaussianAcfDaviesHarte>(acf, mean, variance,
-                                                          1u << 13, seed);
+    return std::make_unique<proc::GaussianAcfDaviesHarte>(
+        std::make_shared<core::FarimaAcf>(d), mean, variance, 1u << 13, seed);
   };
   return spec;
 }

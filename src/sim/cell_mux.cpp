@@ -88,7 +88,6 @@ CellRunResult CellMux::run(
       next_service += service_interval;
     }
     if (queue == 0) {
-      next_service = std::max(next_service, 1.0) - 1.0 + service_interval;
       // Idle at frame end: next service departs one interval into the new
       // frame once work arrives; approximating the aligned server clock.
       next_service = service_interval;

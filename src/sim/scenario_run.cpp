@@ -239,13 +239,11 @@ ScenarioRepSample run_scenario_rep(
     lost += tally.lost();
     departed += tally.departed;
     if (sc.hops[h].priority()) {
-      atm::PrioritySharingResult pr;
-      pr.frames = sc.frames;
-      pr.high_arrived = tally.arrived_high;
-      pr.low_arrived = tally.arrived_low;
-      pr.high_lost = tally.lost_high;
-      pr.low_lost = tally.lost_low;
-      atm::record_priority_sharing(pr, shard);
+      shard.add("atm.priority.frames", sc.frames);
+      shard.add_sum("atm.priority.high_arrived", tally.arrived_high);
+      shard.add_sum("atm.priority.high_lost", tally.lost_high);
+      shard.add_sum("atm.priority.low_arrived", tally.arrived_low);
+      shard.add_sum("atm.priority.low_lost", tally.lost_low);
     }
   }
   shard.add("scenario.replications", 1);

@@ -153,6 +153,29 @@ TEST(ScenarioRun, ShardLayoutsAndThreadsAreBitIdentical) {
   }
 }
 
+TEST(ScenarioRun, ZooFarimaSourcesBuildSafelyOnReplicationThreads) {
+  // Davies-Harte sources of a zoo FARIMA model are built on the
+  // replication threads, so they must not share one lazily grown ACF
+  // cache: two threads growing it at once corrupt the heap (a sanitizer
+  // build reports it on every run; a plain build crashes only sometimes).
+  const sim::Scenario sc = sim::parse_scenario(
+      "cts.scenario.v1\n"
+      "[scenario]\n"
+      "name = farima_threads\n"
+      "frames = 100\n"
+      "warmup = 10\n"
+      "replications = 2\n"
+      "[source fgn]\n"
+      "model = farima:0.4\n"
+      "count = 8\n"
+      "[hop mux]\n"
+      "input = fgn\n"
+      "capacity = 4120\n"
+      "buffer = 1000\n");
+  EXPECT_EQ(sim::write_scenario_result_json(sc, run_slice(sc, 0, 1, 2)),
+            sim::write_scenario_result_json(sc, run_slice(sc, 0, 1, 1)));
+}
+
 TEST(ScenarioRun, MergedDocumentIsByteIdenticalToSingleProcess) {
   const sim::Scenario sc = sim::parse_scenario(kSpec);
   const std::string single =

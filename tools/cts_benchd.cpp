@@ -94,7 +94,6 @@ struct RunSample {
   std::map<std::string, double> metrics;           ///< resources.*
   std::map<std::string, double> hw;                ///< hw.counters.* + ipc
   bool hw_available = false;
-  std::string hw_backend;                          ///< hw.backend when available
   std::string hw_reason;
   std::map<std::string, double> phase_self_us;     ///< phases[].self_us
   std::map<std::string, double> phase_spans;       ///< phases[].spans
@@ -165,7 +164,6 @@ bool run_once(const Options& opt, const bench::BenchSpec& spec,
     const obs::JsonValue& hw = doc.at("hw");
     out->hw_available = hw.at("available").as_bool();
     if (out->hw_available) {
-      out->hw_backend = hw.at("backend").as_string();
       for (const auto& [name, v] : hw.at("counters").members) {
         out->hw[name] = v.as_number();
       }
@@ -362,13 +360,7 @@ int run(const Options& opt) {
     w.key("hw").begin_object();
     w.key("available").value(hw_ok);
     if (hw_ok) {
-      const bool same_backend =
-          std::all_of(samples.begin(), samples.end(),
-                      [&](const RunSample& s) {
-                        return s.hw_backend == samples.front().hw_backend;
-                      });
-      w.key("backend").value(same_backend ? samples.front().hw_backend
-                                          : std::string("mixed"));
+      w.key("backend").value("perf_event");
       w.key("counters").begin_object();
       for (const char* name : kHwCounterNames) {
         if (samples.front().hw.find(name) == samples.front().hw.end()) {
