@@ -7,15 +7,12 @@
 //   counters        -> counter  (`name_total` sample)
 //   sums            -> gauge    (compensated totals can move either way)
 //   gauges          -> gauge
-//   histograms      -> histogram (cumulative `le` buckets + `+Inf`,
-//                                 `_sum`/`_count`)
 //   log_histograms  -> summary   (`quantile` samples for p50/p95/p99/p999
 //                                 + `_sum`/`_count`)
 //
-// When a fixed-bucket histogram and a log histogram share a sanitized
-// name, the summary family is suffixed `_quantiles` so the exposition
-// never declares one family twice.  Output ends with the mandatory
-// `# EOF` terminator.
+// When two entries sanitize to the same name, the later family is
+// suffixed `_` so the exposition never declares one family twice.  Output
+// ends with the mandatory `# EOF` terminator.
 
 #pragma once
 

@@ -104,6 +104,12 @@ struct JsonValue {
 
   bool as_bool() const;          ///< requires kBool
   double as_number() const;      ///< requires kNumber
+  /// Requires a kNumber that is a finite integer in [0, 2^53]; throws
+  /// InvalidArgument naming `field` otherwise.  The one checked conversion
+  /// from a wire number to an integer type: casting an out-of-range double
+  /// is undefined behaviour.  Callers storing into a narrower type check
+  /// their own bound.
+  std::uint64_t as_uint(const std::string& field) const;
   const std::string& as_string() const;  ///< requires kString
 
   /// Object member lookup; nullptr when absent or not an object.

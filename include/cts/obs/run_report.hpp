@@ -5,7 +5,7 @@
 // document:
 //
 //   {"config":{...},"metrics":{"counters":{...},"sums":{...},
-//                              "gauges":{...},"histograms":{...}}}
+//                              "gauges":{...},"log_histograms":{...}}}
 //
 // Two bench runs can then be diffed field-by-field (same seed => identical
 // counters/sums; wall-time histograms expose perf regressions).

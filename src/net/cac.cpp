@@ -1,6 +1,5 @@
 #include "cts/net/cac.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -137,10 +136,8 @@ CacRequest parse_cac_request(const std::string& text) {
     cu::require(q.log10_clr < 0.0,
                 "cac: log10_clr must be < 0 (a loss target below 1)");
     if (q.kind == CacQueryKind::kBop) {
-      const double n = entry.at("n").as_number();
-      cu::require(n >= 1.0 && n == std::floor(n),
-                  "cac: bop query needs an integer n >= 1");
-      q.n = static_cast<std::size_t>(n);
+      q.n = entry.at("n").as_uint("cac: bop query n");
+      cu::require(q.n >= 1, "cac: bop query needs an integer n >= 1");
       const obs::JsonValue* interp = entry.find("interp");
       if (interp != nullptr) q.interpolate = interp->as_bool();
     } else {
@@ -235,10 +232,8 @@ CacResponse parse_cac_response(const std::string& text) {
     CacAnswer answer;
     answer.ok = entry.at("ok").as_bool();
     if (answer.ok) {
-      const double admissible = entry.at("admissible").as_number();
-      cu::require(admissible >= 0.0 && admissible == std::floor(admissible),
-                  "cac result: admissible must be a non-negative integer");
-      answer.admissible = static_cast<std::size_t>(admissible);
+      answer.admissible =
+          entry.at("admissible").as_uint("cac result: admissible");
       answer.log10_bop = entry.at("log10_bop").as_number();
       const obs::JsonValue* interp = entry.find("interpolated");
       if (interp != nullptr) answer.interpolated = interp->as_bool();

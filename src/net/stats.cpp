@@ -82,22 +82,19 @@ WorkerStats parse_stats(const std::string& text) {
   WorkerStats stats;
   stats.worker = doc.at("worker").as_string();
   cu::require(!stats.worker.empty(), "stats: empty worker identity");
-  stats.pid = static_cast<std::int64_t>(doc.at("pid").as_number());
+  stats.pid = static_cast<std::int64_t>(doc.at("pid").as_uint("stats: pid"));
   stats.uptime_s = doc.at("uptime_s").as_number();
   cu::require(stats.uptime_s >= 0, "stats: negative uptime_s");
   const obs::JsonValue& jobs = doc.at("jobs");
   cu::require(jobs.is_object(), "stats: jobs must be an object");
   const auto count_of = [&jobs](const char* key) {
-    const double v = jobs.at(key).as_number();
-    cu::require(v >= 0, std::string("stats: negative jobs.") + key);
-    return static_cast<std::uint64_t>(v);
+    return jobs.at(key).as_uint(std::string("stats: jobs.") + key);
   };
   stats.jobs_in_flight = count_of("in_flight");
   stats.jobs_ok = count_of("ok");
   stats.jobs_failed = count_of("failed");
   stats.jobs_retried = count_of("retried");
-  stats.stats_served =
-      static_cast<std::uint64_t>(doc.at("stats_served").as_number());
+  stats.stats_served = doc.at("stats_served").as_uint("stats: stats_served");
   stats.metrics = obs::metrics_snapshot_from_json(doc.at("metrics"));
   const obs::JsonValue& spans = doc.at("spans");
   cu::require(spans.is_array(), "stats: spans must be an array");
@@ -106,11 +103,14 @@ WorkerStats parse_stats(const std::string& text) {
     obs::SpanAgg agg;
     agg.name = item.at("name").as_string();
     cu::require(!agg.name.empty(), "stats: empty span name");
-    agg.count = static_cast<std::uint64_t>(item.at("count").as_number());
-    agg.total_us = static_cast<std::int64_t>(item.at("total_us").as_number());
-    agg.self_us = static_cast<std::int64_t>(item.at("self_us").as_number());
-    agg.min_us = static_cast<std::int64_t>(item.at("min_us").as_number());
-    agg.max_us = static_cast<std::int64_t>(item.at("max_us").as_number());
+    const auto span_field = [&item](const char* key) {
+      return item.at(key).as_uint(std::string("stats: span ") + key);
+    };
+    agg.count = span_field("count");
+    agg.total_us = static_cast<std::int64_t>(span_field("total_us"));
+    agg.self_us = static_cast<std::int64_t>(span_field("self_us"));
+    agg.min_us = static_cast<std::int64_t>(span_field("min_us"));
+    agg.max_us = static_cast<std::int64_t>(span_field("max_us"));
     stats.spans.push_back(std::move(agg));
   }
   return stats;

@@ -429,6 +429,20 @@ double JsonValue::as_number() const {
   return number;
 }
 
+std::uint64_t JsonValue::as_uint(const std::string& field) const {
+  // 2^53: the largest range in which every integer is an exact double, so
+  // the cast below is defined and no neighbouring count aliases this one.
+  constexpr double kMax = 9007199254740992.0;
+  const double d = as_number();
+  if (!(d >= 0.0 && d <= kMax && d == std::floor(d))) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    throw util::InvalidArgument(
+        field + ": expected an integer in [0, 2^53], got " + buf);
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
 const std::string& JsonValue::as_string() const {
   util::require(is_string(), "JsonValue: not a string");
   return string;

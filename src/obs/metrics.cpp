@@ -1,59 +1,12 @@
 #include "cts/obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
 
 namespace cts::obs {
-
-// ---------------------------------------------------------------------------
-// HistogramCell
-
-HistogramCell::HistogramCell(std::vector<double> edges)
-    : edges_(std::move(edges)), buckets_(edges_.size() + 1, 0) {
-  util::require(!edges_.empty(), "HistogramCell: need at least one edge");
-  util::require(std::is_sorted(edges_.begin(), edges_.end()),
-                "HistogramCell: edges must be sorted ascending");
-}
-
-void HistogramCell::observe(double v) noexcept {
-  // Upper-inclusive buckets: first edge >= v; overflow bucket otherwise.
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - edges_.begin())];
-  stats_.add(v);
-}
-
-void HistogramCell::merge(const HistogramCell& other) {
-  if (other.stats_.count() == 0 && other.edges_.empty()) return;
-  if (edges_.empty()) {
-    *this = other;
-    return;
-  }
-  util::require(edges_ == other.edges_,
-                "HistogramCell: cannot merge histograms with different edges");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  stats_.merge(other.stats_);
-}
-
-std::vector<double> HistogramCell::default_edges() {
-  return {0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0,
-          1e3, 3e3, 1e4, 3e4, 1e5};
-}
-
-HistogramCell HistogramCell::from_state(std::vector<double> edges,
-                                        std::vector<std::uint64_t> buckets,
-                                        util::MomentAccumulator stats) {
-  HistogramCell cell(std::move(edges));
-  util::require(buckets.size() == cell.edges_.size() + 1,
-                "HistogramCell: snapshot bucket count does not match edges");
-  cell.buckets_ = std::move(buckets);
-  cell.stats_ = stats;
-  return cell;
-}
 
 // ---------------------------------------------------------------------------
 // LogHistogramCell
@@ -69,7 +22,7 @@ void LogHistogramCell::observe(double v) noexcept {
   if (v > 0.0) {
     // ceil(log_gamma v); the cast truncates toward zero, so nudge upward
     // for non-integer results.  Exact powers of gamma stay in their own
-    // bucket (upper-inclusive, mirroring HistogramCell's "le" edges).
+    // bucket (upper-inclusive, the Prometheus "le" convention).
     const double raw = std::log(v) * inv_log_gamma_;
     const double up = std::ceil(raw);
     buckets_[static_cast<std::int32_t>(up)] += 1;
@@ -146,19 +99,6 @@ void MetricsShard::gauge(const std::string& name, double v, GaugeMode mode) {
   cell.update(v);
 }
 
-void MetricsShard::observe(const std::string& name, double v,
-                           const std::vector<double>& edges) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, HistogramCell(edges.empty()
-                                              ? HistogramCell::default_edges()
-                                              : edges))
-             .first;
-  }
-  it->second.observe(v);
-}
-
 void MetricsShard::observe_log(const std::string& name, double v) {
   log_histograms_[name].observe(v);
 }
@@ -167,7 +107,6 @@ void MetricsShard::merge(const MetricsShard& other) {
   for (const auto& [name, delta] : other.counters_) counters_[name] += delta;
   for (const auto& [name, s] : other.sums_) sums_[name].merge(s);
   for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
-  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
   for (const auto& [name, h] : other.log_histograms_) {
     log_histograms_[name].merge(h);
   }
@@ -182,11 +121,6 @@ void MetricsShard::restore_gauge(const std::string& name, GaugeCell cell) {
   gauges_[name] = cell;
 }
 
-void MetricsShard::restore_histogram(const std::string& name,
-                                     HistogramCell cell) {
-  histograms_.insert_or_assign(name, std::move(cell));
-}
-
 void MetricsShard::restore_log_histogram(const std::string& name,
                                          LogHistogramCell cell) {
   log_histograms_.insert_or_assign(name, std::move(cell));
@@ -194,7 +128,7 @@ void MetricsShard::restore_log_histogram(const std::string& name,
 
 bool MetricsShard::empty() const noexcept {
   return counters_.empty() && sums_.empty() && gauges_.empty() &&
-         histograms_.empty() && log_histograms_.empty();
+         log_histograms_.empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -218,12 +152,6 @@ void MetricsRegistry::add_sum(const std::string& name, double delta) {
 void MetricsRegistry::gauge(const std::string& name, double v, GaugeMode mode) {
   const std::lock_guard<std::mutex> lock(mu_);
   data_.gauge(name, v, mode);
-}
-
-void MetricsRegistry::observe(const std::string& name, double v,
-                              const std::vector<double>& edges) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  data_.observe(name, v, edges);
 }
 
 void MetricsRegistry::observe_log(const std::string& name, double v) {
@@ -266,33 +194,6 @@ bool MetricsRegistry::has_gauge(const std::string& name) const {
   return data_.gauges().count(name) > 0;
 }
 
-bool MetricsRegistry::histogram(const std::string& name,
-                                HistogramSnapshot* out) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = data_.histograms().find(name);
-  if (it == data_.histograms().end()) return false;
-  if (out != nullptr) {
-    const HistogramCell& h = it->second;
-    out->edges = h.edges();
-    out->buckets = h.buckets();
-    out->count = h.stats().count();
-    out->mean = h.stats().mean();
-    out->stddev = h.stats().stddev();
-    out->min = h.stats().count() > 0 ? h.stats().min() : 0.0;
-    out->max = h.stats().count() > 0 ? h.stats().max() : 0.0;
-  }
-  return true;
-}
-
-bool MetricsRegistry::log_histogram(const std::string& name,
-                                    LogHistogramCell* out) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = data_.log_histograms().find(name);
-  if (it == data_.log_histograms().end()) return false;
-  if (out != nullptr) *out = it->second;
-  return true;
-}
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   const std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w(os);
@@ -308,25 +209,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 
   w.key("gauges").begin_object();
   for (const auto& [name, g] : data_.gauges()) w.key(name).value(g.value);
-  w.end_object();
-
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : data_.histograms()) {
-    w.key(name).begin_object();
-    const util::MomentAccumulator& st = h.stats();
-    w.key("count").value(st.count());
-    w.key("mean").value(st.count() > 0 ? st.mean() : 0.0);
-    w.key("stddev").value(st.stddev());
-    w.key("min").value(st.count() > 0 ? st.min() : 0.0);
-    w.key("max").value(st.count() > 0 ? st.max() : 0.0);
-    w.key("edges").begin_array();
-    for (const double e : h.edges()) w.value(e);
-    w.end_array();
-    w.key("buckets").begin_array();
-    for (const std::uint64_t b : h.buckets()) w.value(b);
-    w.end_array();
-    w.end_object();
-  }
   w.end_object();
 
   if (!data_.log_histograms().empty()) {
@@ -383,30 +265,7 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsShard& shard) {
   }
   w.end_object();
 
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : shard.histograms()) {
-    const util::MomentAccumulator& st = h.stats();
-    w.key(name).begin_object();
-    w.key("edges").begin_array();
-    for (const double e : h.edges()) w.value(e);
-    w.end_array();
-    w.key("buckets").begin_array();
-    for (const std::uint64_t b : h.buckets()) w.value(b);
-    w.end_array();
-    w.key("count").value(st.count());
-    // min/max are +-inf for an empty accumulator, which JSON cannot carry;
-    // from_state ignores every moment field when count is 0.
-    w.key("mean").value(st.count() > 0 ? st.mean() : 0.0);
-    w.key("m2").value(st.count() > 0 ? st.m2() : 0.0);
-    w.key("min").value(st.count() > 0 ? st.min() : 0.0);
-    w.key("max").value(st.count() > 0 ? st.max() : 0.0);
-    w.end_object();
-  }
-  w.end_object();
-
-  // Omitted when empty: older readers use at("..."), and a snapshot with
-  // no latency histograms must stay byte-identical to the pre-section
-  // format (the merged physics report is diffed bit for bit).
+  // Omitted when empty, like the report view's section.
   if (!shard.log_histograms().empty()) {
     w.key("log_histograms").begin_object();
     for (const auto& [name, h] : shard.log_histograms()) {
@@ -439,23 +298,12 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsShard& shard) {
   w.end_object();
 }
 
-namespace {
-
-std::uint64_t as_uint(const JsonValue& v, const char* what) {
-  const double d = v.as_number();
-  util::require(d >= 0.0, std::string("metrics snapshot: ") + what +
-                              " must be non-negative");
-  return static_cast<std::uint64_t>(d);
-}
-
-}  // namespace
-
 MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
   util::require(v.is_object(), "metrics snapshot: expected an object");
   MetricsShard shard;
 
   for (const auto& [name, counter] : v.at("counters").members) {
-    shard.add(name, as_uint(counter, "counter"));
+    shard.add(name, counter.as_uint("metrics snapshot: counter"));
   }
   for (const auto& [name, sum] : v.at("sums").members) {
     shard.restore_sum(name, util::CompensatedSum::from_state(
@@ -472,25 +320,8 @@ MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
     cell.written = true;
     shard.restore_gauge(name, cell);
   }
-  for (const auto& [name, hist] : v.at("histograms").members) {
-    std::vector<double> edges;
-    for (const JsonValue& e : hist.at("edges").items) {
-      edges.push_back(e.as_number());
-    }
-    std::vector<std::uint64_t> buckets;
-    for (const JsonValue& b : hist.at("buckets").items) {
-      buckets.push_back(as_uint(b, "histogram bucket"));
-    }
-    const util::MomentAccumulator stats = util::MomentAccumulator::from_state(
-        as_uint(hist.at("count"), "histogram count"),
-        hist.at("mean").as_number(), hist.at("m2").as_number(),
-        hist.at("min").as_number(), hist.at("max").as_number());
-    shard.restore_histogram(
-        name, HistogramCell::from_state(std::move(edges), std::move(buckets),
-                                        stats));
-  }
-  // Optional section: snapshots written before log histograms existed (or
-  // from registries without any) simply lack it.
+  // Optional section: snapshots from registries without any latency
+  // histogram lack it.
   if (const JsonValue* logs = v.find("log_histograms")) {
     for (const auto& [name, hist] : logs->members) {
       const auto& index_items = hist.at("indexes").items;
@@ -501,18 +332,24 @@ MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
       std::map<std::int32_t, std::uint64_t> buckets;
       for (std::size_t i = 0; i < index_items.size(); ++i) {
         const double raw = index_items[i].as_number();
-        buckets[static_cast<std::int32_t>(raw)] =
-            as_uint(count_items[i], "log histogram bucket");
+        util::require(raw >= INT32_MIN && raw <= INT32_MAX &&
+                          raw == std::floor(raw),
+                      "metrics snapshot: log histogram index must be a "
+                      "32-bit integer");
+        buckets[static_cast<std::int32_t>(raw)] = count_items[i].as_uint(
+            "metrics snapshot: log histogram bucket");
       }
       const util::MomentAccumulator stats =
           util::MomentAccumulator::from_state(
-              as_uint(hist.at("count"), "log histogram count"),
+              hist.at("count").as_uint(
+                  "metrics snapshot: log histogram count"),
               hist.at("mean").as_number(), hist.at("m2").as_number(),
               hist.at("min").as_number(), hist.at("max").as_number());
       shard.restore_log_histogram(
           name, LogHistogramCell::from_state(
                     hist.at("gamma").as_number(),
-                    as_uint(hist.at("zero"), "log histogram zero count"),
+                    hist.at("zero").as_uint(
+                        "metrics snapshot: log histogram zero count"),
                     std::move(buckets), stats));
     }
   }

@@ -22,6 +22,7 @@
 #include "cts/proc/gaussian_acf_source.hpp"
 #include "cts/stats/batch.hpp"
 #include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 #include "cts/util/rng.hpp"
 
 namespace cu = cts::util;
@@ -407,17 +408,13 @@ void write_interval(obs::JsonWriter& w, const stats::IntervalEstimate& e) {
 std::uint64_t parse_u64_field(const obs::JsonValue& v, const char* what) {
   if (v.is_string()) {
     const std::string& s = v.as_string();
-    cu::require(!s.empty() &&
-                    s.find_first_not_of("0123456789") == std::string::npos,
+    std::uint64_t out = 0;
+    cu::require(cu::try_parse_u64(s, &out),
                 std::string("scenario result: ") + what +
                     " must be a decimal string, got '" + s + "'");
-    return std::strtoull(s.c_str(), nullptr, 10);
+    return out;
   }
-  const double x = v.as_number();
-  cu::require(x >= 0.0 && x == std::floor(x),
-              std::string("scenario result: ") + what +
-                  " must be a non-negative integer");
-  return static_cast<std::uint64_t>(x);
+  return v.as_uint(std::string("scenario result: ") + what);
 }
 
 double nonneg_number(const obs::JsonValue& v, const char* what) {
@@ -426,6 +423,34 @@ double nonneg_number(const obs::JsonValue& v, const char* what) {
               std::string("scenario result: ") + what +
                   " must be finite and >= 0");
   return x;
+}
+
+/// The "every" / "rep" / "hops" members of a hop trace, shared by the
+/// result document's "trace" section and the standalone trace document.
+/// Callers check that `result.traces` has one entry per hop.
+void write_hop_trace(obs::JsonWriter& w, const Scenario& scenario,
+                     const ScenarioRunResult& result) {
+  w.key("every").value(scenario.hop_trace_every);
+  w.key("rep").value(static_cast<std::uint64_t>(0));
+  w.key("hops").begin_array();
+  for (std::size_t h = 0; h < scenario.hops.size(); ++h) {
+    w.begin_object();
+    w.key("name").value(scenario.hops[h].name);
+    w.key("frames").begin_array();
+    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.frame);
+    w.end_array();
+    w.key("workload").begin_array();
+    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.workload);
+    w.end_array();
+    w.key("arrived").begin_array();
+    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.arrived);
+    w.end_array();
+    w.key("lost").begin_array();
+    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.lost);
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
 }
 
 }  // namespace
@@ -605,31 +630,7 @@ std::string write_scenario_result_json(const Scenario& scenario,
                 "write_scenario_result_json: trace hop count does not match "
                 "the scenario");
     w.key("trace").begin_object();
-    w.key("every").value(scenario.hop_trace_every);
-    w.key("rep").value(static_cast<std::uint64_t>(0));
-    w.key("hops").begin_array();
-    for (std::size_t h = 0; h < n_hops; ++h) {
-      w.begin_object();
-      w.key("name").value(scenario.hops[h].name);
-      w.key("frames").begin_array();
-      for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.frame);
-      w.end_array();
-      w.key("workload").begin_array();
-      for (const ScenarioTraceRow& row : result.traces[h]) {
-        w.value(row.workload);
-      }
-      w.end_array();
-      w.key("arrived").begin_array();
-      for (const ScenarioTraceRow& row : result.traces[h]) {
-        w.value(row.arrived);
-      }
-      w.end_array();
-      w.key("lost").begin_array();
-      for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.lost);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
+    write_hop_trace(w, scenario, result);
     w.end_object();
   }
 
@@ -655,27 +656,7 @@ std::string write_scenario_trace_json(const Scenario& scenario,
   w.begin_object();
   w.key("schema").value(kScenarioTraceSchema);
   w.key("scenario").value(scenario.name);
-  w.key("every").value(scenario.hop_trace_every);
-  w.key("rep").value(static_cast<std::uint64_t>(0));
-  w.key("hops").begin_array();
-  for (std::size_t h = 0; h < scenario.hops.size(); ++h) {
-    w.begin_object();
-    w.key("name").value(scenario.hops[h].name);
-    w.key("frames").begin_array();
-    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.frame);
-    w.end_array();
-    w.key("workload").begin_array();
-    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.workload);
-    w.end_array();
-    w.key("arrived").begin_array();
-    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.arrived);
-    w.end_array();
-    w.key("lost").begin_array();
-    for (const ScenarioTraceRow& row : result.traces[h]) w.value(row.lost);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
+  write_hop_trace(w, scenario, result);
   w.end_object();
   os << "\n";
   return os.str();

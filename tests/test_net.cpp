@@ -185,6 +185,51 @@ TEST(JobSchema, AttemptRoundTripsAndDefaultsToZero) {
                cu::InvalidArgument);
 }
 
+// A number that the target integer type cannot hold is rejected by name:
+// casting it would be undefined behaviour (a shard index of 1e20 would
+// read as shard 0 on x86-64), and truncating 2.5 would hide a bad value.
+TEST(JobSchema, RejectsUnrepresentableIntegers) {
+  const auto job_with = [](const std::string& shard,
+                           const std::string& attempt) {
+    return R"({"schema":"cts.job.v1","bench":"x","shard":)" + shard +
+           R"(,"env":{},"timeout_s":1,"attempt":)" + attempt + "}";
+  };
+  const auto message_of = [](const std::string& text) {
+    try {
+      net::parse_job(text);
+    } catch (const cu::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const net::JobRequest ok =
+      net::parse_job(job_with(R"({"index":1,"count":2})", "1"));
+  EXPECT_EQ(ok.shard_index, 1u);
+  EXPECT_EQ(ok.attempt, 1);
+  EXPECT_NE(message_of(job_with(R"({"index":1e20,"count":2})", "0"))
+                .find("shard.index"),
+            std::string::npos);
+  EXPECT_NE(message_of(job_with(R"({"index":0,"count":1e300})", "0"))
+                .find("shard.count"),
+            std::string::npos);
+  EXPECT_NE(message_of(job_with(R"({"index":0.5,"count":2})", "0"))
+                .find("shard.index"),
+            std::string::npos);
+  for (const char* attempt : {"2.5", "1e20", "3e9", "-1"}) {
+    EXPECT_NE(message_of(job_with(R"({"index":0,"count":1})", attempt))
+                  .find("attempt"),
+              std::string::npos)
+        << attempt;
+  }
+  // The job result's obs timestamps go through the same check.
+  EXPECT_THROW(net::parse_job_result(
+                   R"({"schema":"cts.jobresult.v1","ok":false,"error":"e",)"
+                   R"("elapsed_s":0,"obs":{"recv_us":1e300,"send_us":2e300,)"
+                   R"("metrics":{"counters":{},"sums":{},"gauges":{}},)"
+                   R"("spans":[]}})"),
+               cu::InvalidArgument);
+}
+
 TEST(JobSchema, ResultObsSectionRoundTrips) {
   net::JobResult result;
   result.ok = true;
@@ -194,7 +239,7 @@ TEST(JobSchema, ResultObsSectionRoundTrips) {
   result.obs.recv_us = 1'000'000;
   result.obs.send_us = 1'800'000;
   result.obs.metrics.add("shardd.jobs_ok");
-  result.obs.metrics.observe("shardd.job_wall_ms", 812.5);
+  result.obs.metrics.observe_log("shardd.job_wall_ms", 812.5);
   result.obs.spans = {{"shardd.job", 0, 1'000'100, 799'000},
                       {"shardd.exec", 0, 1'000'200, 780'000}};
 
@@ -204,7 +249,7 @@ TEST(JobSchema, ResultObsSectionRoundTrips) {
   EXPECT_EQ(parsed.obs.recv_us, 1'000'000);
   EXPECT_EQ(parsed.obs.send_us, 1'800'000);
   EXPECT_EQ(parsed.obs.metrics.counters().at("shardd.jobs_ok"), 1u);
-  EXPECT_EQ(parsed.obs.metrics.histograms()
+  EXPECT_EQ(parsed.obs.metrics.log_histograms()
                 .at("shardd.job_wall_ms")
                 .stats()
                 .count(),
@@ -227,8 +272,8 @@ TEST(JobSchema, ResultWithoutObsParsesAsHasObsFalse) {
   EXPECT_THROW(net::parse_job_result(
                    R"({"schema":"cts.jobresult.v1","ok":false,"error":"e",)"
                    R"("elapsed_s":0,"obs":{"recv_us":100,"send_us":50,)"
-                   R"("metrics":{"counters":{},"sums":{},"gauges":{},)"
-                   R"("histograms":{}},"spans":[]}})"),
+                   R"("metrics":{"counters":{},"sums":{},"gauges":{}},)"
+                   R"("spans":[]}})"),
                cu::InvalidArgument);
 }
 

@@ -186,6 +186,29 @@ TEST(CacRequest, RejectsMalformedDocumentsWithNamedErrors) {
             std::string::npos);
 }
 
+// n = 1e300 is not an integer a size_t can hold: casting it is undefined
+// behaviour (0 on x86-64), so it is rejected by name.
+TEST(CacRequest, RejectsUnrepresentableN) {
+  const auto bop_with_n = [](const std::string& n) {
+    return R"({"schema":"cts.cac.v1","model":{"id":"za:0.9"},)"
+           R"("queries":[{"kind":"bop","capacity":16140,)"
+           R"("buffer":4035,"log10_clr":-6,"n":)" +
+           n + "}]}";
+  };
+  EXPECT_EQ(cn::parse_cac_request(bop_with_n("25")).queries[0].n, 25u);
+  for (const char* n : {"1e300", "1e20", "-1", "0"}) {
+    EXPECT_NE(invalid_argument_message([&] {
+                cn::parse_cac_request(bop_with_n(n));
+              }).find("n"),
+              std::string::npos)
+        << n;
+  }
+  EXPECT_NE(invalid_argument_message([&] {
+              cn::parse_cac_request(bop_with_n("1e300"));
+            }).find("bop query n"),
+            std::string::npos);
+}
+
 TEST(CacModel, ZooIdsResolveToTheZooModel) {
   cn::CacModel model;
   model.zoo_id = "za:0.9";
@@ -309,4 +332,21 @@ TEST(CacResponse, RejectsStructurallyInvalidReplies) {
   // And the schema tag is checked first.
   EXPECT_THROW(cn::parse_cac_response(R"({"schema":"cts.stats.v1"})"),
                cu::InvalidArgument);
+}
+
+TEST(CacResponse, RejectsUnrepresentableAdmissible) {
+  const auto reply_with = [](const std::string& admissible) {
+    return R"({"schema":"cts.cacresult.v1","ok":true,"model":"m",)"
+           R"("elapsed_s":0,"answers":[{"ok":true,"admissible":)" +
+           admissible + R"(,"log10_bop":-6}]})";
+  };
+  EXPECT_EQ(cn::parse_cac_response(reply_with("31")).answers[0].admissible,
+            31u);
+  for (const char* admissible : {"1e300", "1e20", "-1"}) {
+    EXPECT_NE(invalid_argument_message([&] {
+                cn::parse_cac_response(reply_with(admissible));
+              }).find("admissible"),
+              std::string::npos)
+        << admissible;
+  }
 }

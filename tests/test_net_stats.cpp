@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "cts/net/stats.hpp"
 #include "cts/obs/json.hpp"
@@ -39,8 +40,8 @@ TEST(Stats, RoundTripsLosslessly) {
   stats.stats_served = 3;
   stats.metrics.add("shardd.jobs_ok", 5);
   stats.metrics.add_sum("shardd.cells", 1.25e9);
-  stats.metrics.observe("shardd.job_wall_ms", 812.5);
-  stats.metrics.observe("shardd.job_wall_ms", 911.25);
+  stats.metrics.observe_log("shardd.job_wall_ms", 812.5);
+  stats.metrics.observe_log("shardd.job_wall_ms", 911.25);
   stats.spans.push_back({"shardd.exec", 5, 4'000'000, 3'900'000, 700'000,
                          900'000});
 
@@ -64,8 +65,8 @@ TEST(Stats, RoundTripsLosslessly) {
   // fresh registry reproduces counters, Kahan sums, and histogram moments.
   EXPECT_EQ(back.metrics.counters().at("shardd.jobs_ok"), 5u);
   EXPECT_DOUBLE_EQ(back.metrics.sums().at("shardd.cells").value(), 1.25e9);
-  const obs::HistogramCell& hist =
-      back.metrics.histograms().at("shardd.job_wall_ms");
+  const obs::LogHistogramCell& hist =
+      back.metrics.log_histograms().at("shardd.job_wall_ms");
   EXPECT_EQ(hist.stats().count(), 2u);
   EXPECT_DOUBLE_EQ(hist.stats().mean(), (812.5 + 911.25) / 2);
 
@@ -73,6 +74,42 @@ TEST(Stats, RoundTripsLosslessly) {
   EXPECT_EQ(back.spans[0].name, "shardd.exec");
   EXPECT_EQ(back.spans[0].count, 5u);
   EXPECT_DOUBLE_EQ(back.spans[0].self_us, 3'900'000.0);
+}
+
+// Every integer field goes through one checked conversion: a number its
+// type cannot hold is rejected by name instead of cast (undefined
+// behaviour).
+TEST(Stats, ParserRejectsUnrepresentableIntegers) {
+  net::WorkerStats stats;
+  stats.worker = "w";
+  stats.pid = 4242;
+  stats.jobs_ok = 5;
+  stats.stats_served = 3;
+  stats.spans.push_back({"shardd.exec", 5, 4'000'000, 3'900'000, 700'000,
+                         900'000});
+  const std::string text = net::write_stats_json(stats);
+  ASSERT_NO_THROW(net::parse_stats(text));
+  const auto with = [&text](const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string out = text;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"pid\":4242", "\"pid\":1e300"},
+      {"\"ok\":5", "\"ok\":1e300"},
+      {"\"stats_served\":3", "\"stats_served\":1e300"},
+      {"\"stats_served\":3", "\"stats_served\":-1"},
+      {"\"count\":5", "\"count\":1e20"},
+      {"\"total_us\":4000000", "\"total_us\":1e300"},
+      {"\"max_us\":900000", "\"max_us\":0.5"},
+  };
+  for (const auto& [from, to] : cases) {
+    EXPECT_THROW(net::parse_stats(with(from, to)),
+                 cts::util::InvalidArgument)
+        << to;
+  }
 }
 
 TEST(Stats, ParserRejectsMalformedDocuments) {

@@ -50,7 +50,6 @@ TEST(OpenMetrics, RendersEverySectionAndValidates) {
   shard.add("jobs.ok", 7);
   shard.add_sum("cells.total", 123.5);
   shard.gauge("queue.depth", 42.0, obs::GaugeMode::kMax);
-  for (double v : {0.2, 0.5, 2.0, 50.0}) shard.observe("job.wall_ms", v);
   for (double v : {1.0, 2.0, 3.0, 400.0}) shard.observe_log("rpc.ms", v);
 
   const std::string text = render(shard);
@@ -61,10 +60,6 @@ TEST(OpenMetrics, RendersEverySectionAndValidates) {
   EXPECT_NE(text.find("# TYPE cells_total gauge\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE queue_depth gauge\n"), std::string::npos);
   EXPECT_NE(text.find("queue_depth 42\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE job_wall_ms histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("job_wall_ms_bucket{le=\"+Inf\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("job_wall_ms_count 4\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE rpc_ms summary\n"), std::string::npos);
   EXPECT_NE(text.find("rpc_ms{quantile=\"0.5\"}"), std::string::npos);
   EXPECT_NE(text.find("rpc_ms{quantile=\"0.999\"}"), std::string::npos);
@@ -76,39 +71,31 @@ TEST(OpenMetrics, RendersEverySectionAndValidates) {
 TEST(OpenMetrics, ConstantLabelsOnEverySample) {
   obs::MetricsShard shard;
   shard.add("jobs", 1);
-  for (double v : {1.0, 2.0}) shard.observe("wall_ms", v);
+  for (double v : {1.0, 2.0}) shard.observe_log("wall_ms", v);
   obs::OpenMetricsOptions opts;
   opts.labels = {{"worker", "w\"1"}};
   const std::string text = render(shard, opts);
   expect_valid(text);
   EXPECT_NE(text.find("jobs_total{worker=\"w\\\"1\"} 1\n"),
             std::string::npos);
-  // Bucket samples merge the constant labels with le.
-  EXPECT_NE(text.find("wall_ms_bucket{worker=\"w\\\"1\",le=\"+Inf\"} 2\n"),
+  // Quantile samples merge the constant labels with quantile.
+  EXPECT_NE(text.find("wall_ms{worker=\"w\\\"1\",quantile=\"0.5\"} "),
+            std::string::npos);
+  EXPECT_NE(text.find("wall_ms_count{worker=\"w\\\"1\"} 2\n"),
             std::string::npos);
 }
 
-TEST(OpenMetrics, HistogramBucketsAreCumulative) {
-  obs::MetricsShard shard;
-  for (double v : {0.05, 0.2, 0.2, 5.0, 1e9}) shard.observe("lat", v);
-  const std::string text = render(shard);
-  expect_valid(text);
-  EXPECT_NE(text.find("lat_bucket{le=\"0.1\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"0.3\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 5\n"), std::string::npos);
-}
-
-// Same raw name as both histogram kinds: the summary family gets the
-// _quantiles suffix so no family is declared twice.
+// Same raw name as a counter and a log histogram: the later family (the
+// summary) gets a '_' suffix so no family is declared twice.
 TEST(OpenMetrics, CollidingFamilySuffixed) {
   obs::MetricsShard shard;
-  shard.observe("job.wall_ms", 1.0);
+  shard.add("job.wall_ms");
   shard.observe_log("job.wall_ms", 1.0);
   const std::string text = render(shard);
   expect_valid(text);
-  EXPECT_NE(text.find("# TYPE job_wall_ms histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE job_wall_ms_quantiles summary\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("# TYPE job_wall_ms counter\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE job_wall_ms_ summary\n"), std::string::npos);
+  EXPECT_NE(text.find("job_wall_ms__count 1\n"), std::string::npos);
 }
 
 TEST(OpenMetricsValidate, CatchesMissingEof) {

@@ -141,9 +141,10 @@ TEST(LogHistogram, ShardRegistryRoundTrip) {
 
   obs::MetricsRegistry reg;
   reg.merge(shard);
-  obs::LogHistogramCell cell;
-  ASSERT_TRUE(reg.log_histogram("rpc.ms", &cell));
-  EXPECT_FALSE(reg.log_histogram("missing", nullptr));
+  const obs::MetricsShard snap = reg.snapshot();
+  ASSERT_EQ(snap.log_histograms().count("rpc.ms"), 1u);
+  EXPECT_EQ(snap.log_histograms().count("missing"), 0u);
+  const obs::LogHistogramCell& cell = snap.log_histograms().at("rpc.ms");
   EXPECT_EQ(cell.stats().count(), 1001u);
   EXPECT_EQ(cell.buckets(), shard.log_histograms().at("rpc.ms").buckets());
 }

@@ -47,57 +47,6 @@ TEST(MetricsRegistry, CompensatedSumSurvivesMagnitudeSpread) {
   EXPECT_DOUBLE_EQ(reg.sum("cells") - 1e16, 1000.0);
 }
 
-TEST(Histogram, UpperInclusiveBucketsAndStats) {
-  obs::HistogramCell h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // bucket 0
-  h.observe(1.0);    // bucket 0 (upper-inclusive)
-  h.observe(5.0);    // bucket 1
-  h.observe(100.0);  // bucket 2
-  h.observe(1e6);    // overflow bucket
-  ASSERT_EQ(h.buckets().size(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[1], 1u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.buckets()[3], 1u);
-  EXPECT_EQ(h.stats().count(), 5u);
-  EXPECT_DOUBLE_EQ(h.stats().min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.stats().max(), 1e6);
-}
-
-TEST(Histogram, MergeRequiresMatchingEdges) {
-  obs::HistogramCell a({1.0, 2.0});
-  obs::HistogramCell b({1.0, 3.0});
-  b.observe(0.5);
-  EXPECT_THROW(a.merge(b), cts::util::InvalidArgument);
-}
-
-TEST(Histogram, MergeSumsBucketsAndStats) {
-  obs::HistogramCell a({1.0, 2.0});
-  obs::HistogramCell b({1.0, 2.0});
-  a.observe(0.5);
-  a.observe(1.5);
-  b.observe(1.5);
-  b.observe(9.0);
-  a.merge(b);
-  EXPECT_EQ(a.buckets()[0], 1u);
-  EXPECT_EQ(a.buckets()[1], 2u);
-  EXPECT_EQ(a.buckets()[2], 1u);
-  EXPECT_EQ(a.stats().count(), 4u);
-  EXPECT_DOUBLE_EQ(a.stats().mean(), (0.5 + 1.5 + 1.5 + 9.0) / 4.0);
-}
-
-TEST(MetricsShard, RegistryObserveCreatesHistogramWithGivenEdges) {
-  obs::MetricsRegistry reg;
-  reg.observe("wall_ms", 2.0, {1.0, 3.0});
-  reg.observe("wall_ms", 10.0);  // edges fixed by first observation
-  obs::HistogramSnapshot snap;
-  ASSERT_TRUE(reg.histogram("wall_ms", &snap));
-  EXPECT_EQ(snap.count, 2u);
-  ASSERT_EQ(snap.edges.size(), 2u);
-  EXPECT_EQ(snap.buckets[1], 1u);  // 2.0 <= 3.0
-  EXPECT_EQ(snap.buckets[2], 1u);  // 10.0 overflows
-}
-
 TEST(MetricsShard, ConcurrentShardMergeIsDeterministic) {
   // Eight workers each build a shard with integer-valued metrics and merge
   // it; every interleaving must produce identical registry contents.
@@ -110,7 +59,7 @@ TEST(MetricsShard, ConcurrentShardMergeIsDeterministic) {
         for (int i = 0; i < 1000; ++i) {
           shard.add("events");
           shard.add_sum("cells", 3.0);
-          shard.observe("size", static_cast<double>(i % 7), {2.0, 5.0});
+          shard.observe_log("size", static_cast<double>(i % 7));
         }
         shard.gauge("peak", static_cast<double>(t), obs::GaugeMode::kMax);
         reg.merge(shard);
@@ -121,14 +70,24 @@ TEST(MetricsShard, ConcurrentShardMergeIsDeterministic) {
     EXPECT_EQ(reg.counter("events"), 8000u);
     EXPECT_DOUBLE_EQ(reg.sum("cells"), 24000.0);
     EXPECT_DOUBLE_EQ(reg.gauge_value("peak"), 7.0);
-    obs::HistogramSnapshot snap;
-    ASSERT_TRUE(reg.histogram("size", &snap));
-    EXPECT_EQ(snap.count, 8000u);
-    // i % 7 in 0..6: values <= 2 are {0,1,2}, <= 5 are {3,4,5}, above: {6}.
-    EXPECT_EQ(snap.buckets[0], 8u * (143u + 143u + 143u));
-    EXPECT_EQ(snap.buckets[2], 8u * 142u);
-    EXPECT_DOUBLE_EQ(snap.min, 0.0);
-    EXPECT_DOUBLE_EQ(snap.max, 6.0);
+    const obs::MetricsShard snap = reg.snapshot();
+    ASSERT_EQ(snap.log_histograms().count("size"), 1u);
+    const obs::LogHistogramCell& h = snap.log_histograms().at("size");
+    EXPECT_EQ(h.stats().count(), 8000u);
+    // i % 7 in 0..6: values <= 2 are {0,1,2} (0 in the zero bucket, 1 and
+    // 2 in their own log buckets); the top bucket holds {6} alone.
+    const auto index_of = [](double v) {
+      obs::LogHistogramCell one;
+      one.observe(v);
+      return one.buckets().begin()->first;
+    };
+    EXPECT_EQ(h.zero_count() + h.buckets().at(index_of(1.0)) +
+                  h.buckets().at(index_of(2.0)),
+              8u * (143u + 143u + 143u));
+    EXPECT_EQ(h.buckets().rbegin()->first, index_of(6.0));
+    EXPECT_EQ(h.buckets().rbegin()->second, 8u * 142u);
+    EXPECT_DOUBLE_EQ(h.stats().min(), 0.0);
+    EXPECT_DOUBLE_EQ(h.stats().max(), 6.0);
   }
 }
 
@@ -137,14 +96,45 @@ TEST(MetricsRegistry, WriteJsonIsWellFormedAndComplete) {
   reg.add("a.count", 3);
   reg.add_sum("b.total", 1.5);
   reg.gauge("c.value", 2.25);
-  reg.observe("d.hist", 0.5, {1.0});
+  reg.observe_log("d.hist", 0.5);
   std::ostringstream os;
   reg.write_json(os);
   std::string error;
   EXPECT_TRUE(obs::json_parse_check(os.str(), &error)) << error;
   EXPECT_NE(os.str().find("\"a.count\":3"), std::string::npos);
   EXPECT_NE(os.str().find("\"counters\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"histograms\""), std::string::npos);
+  EXPECT_NE(os.str().find("\"log_histograms\""), std::string::npos);
+  EXPECT_EQ(os.str().find("\"histograms\""), std::string::npos);
+}
+
+// Snapshot integers go through one checked conversion: a counter of 1e300
+// or a bucket index of 1e20 cannot be cast (undefined behaviour), and a
+// counter of 2.5 is not a count.
+TEST(MetricsSnapshot, RejectsUnrepresentableIntegers) {
+  const auto parse = [](const std::string& text) {
+    return obs::metrics_snapshot_from_json(obs::json_parse(text));
+  };
+  const auto with_counter = [](const std::string& counter) {
+    return R"({"counters":{"c":)" + counter +
+           R"(},"sums":{},"gauges":{}})";
+  };
+  EXPECT_EQ(parse(with_counter("3")).counters().at("c"), 3u);
+  for (const char* counter : {"1e300", "2.5", "-1"}) {
+    EXPECT_THROW(parse(with_counter(counter)), cts::util::InvalidArgument)
+        << counter;
+  }
+  const auto with_log = [](const std::string& index,
+                           const std::string& count) {
+    return R"({"counters":{},"sums":{},"gauges":{},"log_histograms":)"
+           R"({"h":{"gamma":1.04,"zero":0,"indexes":[)" +
+           index + R"(],"counts":[1],"count":)" + count +
+           R"(,"mean":1,"m2":0,"min":1,"max":1}}})";
+  };
+  EXPECT_EQ(parse(with_log("3", "1")).log_histograms().at("h").buckets().at(3),
+            1u);
+  EXPECT_THROW(parse(with_log("1e20", "1")), cts::util::InvalidArgument);
+  EXPECT_THROW(parse(with_log("0.5", "1")), cts::util::InvalidArgument);
+  EXPECT_THROW(parse(with_log("3", "1e300")), cts::util::InvalidArgument);
 }
 
 TEST(MetricsRegistry, ResetClearsEverything) {

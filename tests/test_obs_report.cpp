@@ -57,7 +57,7 @@ TEST(RunReport, CombinesConfigEchoWithRegistryMetrics) {
   obs::MetricsRegistry reg;
   reg.add("sim.frames_total", 1234);
   reg.gauge("sim.threads", 4.0);
-  reg.observe("sim.replication.wall_ms", 12.0, {10.0, 100.0});
+  reg.observe_log("sim.replication.wall_ms", 12.0);
 
   obs::RunReport report;
   report.set("run_id", "fig8_sim_clr");
@@ -77,7 +77,8 @@ TEST(RunReport, CombinesConfigEchoWithRegistryMetrics) {
             std::string::npos);
   EXPECT_NE(text.find("\"metrics\""), std::string::npos);
   EXPECT_NE(text.find("\"sim.frames_total\":1234"), std::string::npos);
-  EXPECT_NE(text.find("\"sim.replication.wall_ms\""), std::string::npos);
+  EXPECT_NE(text.find("\"log_histograms\":{\"sim.replication.wall_ms\""),
+            std::string::npos);
 }
 
 TEST(RunReport, SetOverwritesExistingKeyInPlace) {

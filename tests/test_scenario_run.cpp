@@ -14,6 +14,7 @@
 #include "cts/obs/metrics.hpp"
 #include "cts/sim/scenario.hpp"
 #include "cts/sim/scenario_run.hpp"
+#include "cts/util/error.hpp"
 
 namespace sim = cts::sim;
 namespace obs = cts::obs;
@@ -188,6 +189,37 @@ TEST(ScenarioRun, MergedDocumentIsByteIdenticalToSingleProcess) {
         sim::write_scenario_result_json(sc, part)));
   }
   EXPECT_EQ(sim::merge_scenario_result_json(parts), single);
+}
+
+// Seeds travel as decimal strings; one that overflows 64 bits is an
+// error, not 2^64 - 1 (strtoull saturates).
+TEST(ScenarioRun, ResultParserRejectsOverflowingSeed) {
+  const sim::Scenario sc = sim::parse_scenario(kSpec);
+  std::string doc = sim::write_scenario_result_json(sc, run_slice(sc, 0, 2));
+  ASSERT_NO_THROW(sim::parse_scenario_result(doc));
+  const std::string from = "\"seed\":\"12345\"";
+  const std::size_t at = doc.find(from);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, from.size(), "\"seed\":\"99999999999999999999\"");
+  EXPECT_THROW(sim::parse_scenario_result(doc), cts::util::InvalidArgument);
+}
+
+// Integer fields written as JSON numbers go through one checked
+// conversion: 1e300 frames cannot be cast (undefined behaviour).
+TEST(ScenarioRun, ResultParserRejectsUnrepresentableNumbers) {
+  const sim::Scenario sc = sim::parse_scenario(kSpec);
+  const std::string doc =
+      sim::write_scenario_result_json(sc, run_slice(sc, 0, 2));
+  for (const char* to : {"\"frames\":1e300", "\"frames\":1e20",
+                         "\"frames\":400.5"}) {
+    std::string bad = doc;
+    const std::string from = "\"frames\":400";
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, from.size(), to);
+    EXPECT_THROW(sim::parse_scenario_result(bad), cts::util::InvalidArgument)
+        << to;
+  }
 }
 
 TEST(ScenarioRun, TraceOnlyInSliceContainingReplicationZero) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +211,34 @@ TEST(ShardFile, ParserRejectsWrongSchema) {
   EXPECT_THROW(cm::parse_shard_file("not json"), cu::InvalidArgument);
 }
 
+// Integer fields of a shard file go through one checked conversion: a
+// number the field cannot hold is rejected instead of cast (undefined
+// behaviour).
+TEST(ShardFile, ParserRejectsUnrepresentableIntegers) {
+  const cf::ModelSpec model = cf::make_ar1(0.8);
+  const std::string text =
+      to_json(make_shard_file(model, small_config(), 1, 2));
+  ASSERT_NO_THROW(cm::parse_shard_file(text));
+  const auto with = [&text](const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string out = text;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"replications\":5", "\"replications\":1e300"},
+      {"\"frames_per_replication\":3000",
+       "\"frames_per_replication\":1e20"},
+      {"\"n_sources\":10", "\"n_sources\":10.5"},
+      {"\"loss_frames\":", "\"loss_frames\":1e300,\"x\":"},
+  };
+  for (const auto& [from, to] : cases) {
+    EXPECT_THROW(cm::parse_shard_file(with(from, to)), cu::InvalidArgument)
+        << to;
+  }
+}
+
 TEST(ShardMerge, WriteParseMergeIsBitIdentical) {
   const cf::ModelSpec model = cf::make_ar1(0.8);
   cm::ReplicationConfig config = small_config();
@@ -287,8 +316,8 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
   for (int i = 0; i < 1000; ++i) shard.add_sum("cells", 1e-3);
   shard.gauge("peak", 7.5, co::GaugeMode::kMax);
   shard.gauge("threads", 4.0);
-  shard.observe("wall", 2.5, {1.0, 10.0});
-  shard.observe("wall", 0.5, {1.0, 10.0});
+  shard.observe_log("wall", 2.5);
+  shard.observe_log("wall", 0.5);
 
   std::ostringstream os;
   co::JsonWriter w(os);
@@ -303,11 +332,12 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
             shard.sums().at("cells").compensation());
   EXPECT_EQ(restored.gauges().at("peak").mode, co::GaugeMode::kMax);
   EXPECT_EQ(restored.gauges().at("peak").value, 7.5);
-  const co::HistogramCell& h = restored.histograms().at("wall");
-  EXPECT_EQ(h.buckets(), shard.histograms().at("wall").buckets());
+  const co::LogHistogramCell& h = restored.log_histograms().at("wall");
+  EXPECT_EQ(h.buckets(), shard.log_histograms().at("wall").buckets());
   EXPECT_EQ(h.stats().count(), 2u);
-  EXPECT_EQ(h.stats().mean(), shard.histograms().at("wall").stats().mean());
-  EXPECT_EQ(h.stats().m2(), shard.histograms().at("wall").stats().m2());
+  EXPECT_EQ(h.stats().mean(),
+            shard.log_histograms().at("wall").stats().mean());
+  EXPECT_EQ(h.stats().m2(), shard.log_histograms().at("wall").stats().m2());
   EXPECT_EQ(h.stats().min(), 0.5);
   EXPECT_EQ(h.stats().max(), 2.5);
 

@@ -116,8 +116,8 @@ TEST(SimdE2E, DiffDetectsDivergingReports) {
   const std::string b = dir + "/simd_diff_b.json";
   const std::string base =
       R"({"config":{"run_id":"x"},"metrics":{"counters":{"sim.replications":)";
-  write_file(a, base + R"(3},"sums":{},"gauges":{},"histograms":{}}})");
-  write_file(b, base + R"(4},"sums":{},"gauges":{},"histograms":{}}})");
+  write_file(a, base + R"(3},"sums":{},"gauges":{}}})");
+  write_file(b, base + R"(4},"sums":{},"gauges":{}}})");
   EXPECT_EQ(shell("'" + simd() + "' diff '" + a + "' '" + a + "' --quiet"), 0);
   EXPECT_EQ(shell("'" + simd() + "' diff '" + a + "' '" + b + "' --quiet"), 1);
   EXPECT_EQ(shell("'" + simd() + "' diff '" + a + "' /nonexistent.json "

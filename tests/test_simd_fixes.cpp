@@ -51,7 +51,7 @@ TEST(SimdFixes, DiffNamesUnreadablePathAndErrno) {
   const std::string good = dir + "/fix_diff_good.json";
   const std::string missing = dir + "/fix_diff_missing.json";
   write_file(good, report_with(
-      R"("counters":{},"sums":{},"gauges":{},"histograms":{})"));
+      R"("counters":{},"sums":{},"gauges":{})"));
   const std::string err = dir + "/fix_diff_err.txt";
   EXPECT_EQ(shell("'" + simd() + "' diff '" + good + "' '" + missing +
                   "' 2> '" + err + "'"),
@@ -66,8 +66,7 @@ TEST(SimdFixes, MissingMetricsSectionIsADifferenceNotAParseError) {
   const std::string full = dir + "/fix_section_full.json";
   const std::string bare = dir + "/fix_section_bare.json";
   write_file(full, report_with(
-      R"("counters":{"sim.replications":3},"sums":{},"gauges":{},)"
-      R"("histograms":{})"));
+      R"("counters":{"sim.replications":3},"sums":{},"gauges":{})"));
   // No "counters" (or any other) section at all: pre-fix, at("counters")
   // threw and the comparison died with exit 2.
   write_file(bare, R"({"config":{"run_id":"x"},"metrics":{}})");

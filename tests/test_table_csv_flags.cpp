@@ -240,6 +240,22 @@ TEST(TryParseInt, StrictFullString) {
   EXPECT_FALSE(cu::try_parse_int("99999999999999999999999", &value));
 }
 
+TEST(TryParseU64, StrictFullStringDigitsOnly) {
+  std::uint64_t value = 0;
+  EXPECT_TRUE(cu::try_parse_u64("42", &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(cu::try_parse_u64("18446744073709551615", &value));
+  EXPECT_EQ(value, 18446744073709551615ULL);
+  EXPECT_FALSE(cu::try_parse_u64("18446744073709551616", &value));
+  EXPECT_FALSE(cu::try_parse_u64("99999999999999999999", &value));
+  EXPECT_FALSE(cu::try_parse_u64("", &value));
+  EXPECT_FALSE(cu::try_parse_u64("-1", &value));
+  EXPECT_FALSE(cu::try_parse_u64("+1", &value));
+  EXPECT_FALSE(cu::try_parse_u64(" 1", &value));
+  EXPECT_FALSE(cu::try_parse_u64("12abc", &value));
+  EXPECT_EQ(value, 18446744073709551615ULL);  // untouched on failure
+}
+
 TEST(EnvInt, ErrorNamesVariableAndValue) {
   ::setenv("CTS_TEST_ENV_INT", "12abc", 1);
   try {

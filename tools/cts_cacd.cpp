@@ -199,9 +199,6 @@ net::CacResponse run_request(const std::string& request_text, Cacd* d) {
     }
     const double wall_ms = (cu::monotonic_s() - query_start) * 1e3;
     batch_metrics.add(answer.ok ? "cacd.queries_ok" : "cacd.queries_failed");
-    batch_metrics.observe("cacd.query_wall_ms", wall_ms);
-    // Log-bucketed twin carries the tail: cts_obstop renders
-    // p50/p95/p99/p999 (and SLO flags) from this one.
     batch_metrics.observe_log("cacd.query_wall_ms", wall_ms);
     response.answers.push_back(answer);
   }

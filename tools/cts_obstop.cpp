@@ -392,19 +392,14 @@ int run_table(const std::vector<net::Endpoint>& workers, double interval_s,
     for (const net::Endpoint& ep : workers) {
       try {
         const net::WorkerStats s = net::query_stats(ep, timeout_s);
+        // The mean is exact (Welford); the percentiles are within the log
+        // histogram's 2% relative error.
         std::string wall_ms = "-";
-        for (const auto& [name, hist] : s.metrics.histograms()) {
-          if (name == "shardd.job_wall_ms" && hist.stats().count() > 0) {
-            wall_ms = cu::format_fixed(hist.stats().mean(), 0);
-          }
-        }
-        // Percentile columns come from the log-bucketed histogram (2%
-        // relative error), which the fixed-edge histogram above cannot
-        // provide.
         std::string p50 = "-", p95 = "-", p99 = "-", p999 = "-";
         const auto& logs = s.metrics.log_histograms();
         const auto it = logs.find("shardd.job_wall_ms");
         if (it != logs.end() && it->second.stats().count() > 0) {
+          wall_ms = cu::format_fixed(it->second.stats().mean(), 0);
           p50 = cu::format_fixed(it->second.percentile(0.50), 1);
           p95 = cu::format_fixed(it->second.percentile(0.95), 1);
           p99 = cu::format_fixed(it->second.percentile(0.99), 1);

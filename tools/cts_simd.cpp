@@ -32,9 +32,8 @@
 // counters exactly, sums to 1e-9 relative tolerance (Kahan summation is
 // order-sensitive across shard boundaries), gauges exactly except the
 // layout-dependent {sim.threads, sim.shard.index, sim.shard.count}, and
-// histograms by count only when the name contains "wall_ms" (timings are
-// never reproducible), and log-bucketed percentile histograms likewise by
-// count only when the name contains "_ms".  A section missing from one
+// log-bucketed latency histograms by count only when the name contains
+// "_ms" (timings are never reproducible).  A section missing from one
 // report entirely is a reported difference (exit 1), not a parse error.
 //
 // Exit codes: 0 success / reports match, 1 worker failure / merge error /
@@ -457,11 +456,6 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
         dispatch_one(ep, job, opt.job_timeout_s, &payload, &error, &capture);
     env = std::move(job.env);  // reused across this thread's jobs
     const double wall_ms = (cu::monotonic_s() - start) * 1e3;
-    dispatch->observe("simd.net.job_wall_ms", wall_ms);
-    dispatch->observe(wtag + ".wall_ms", wall_ms);
-    // Log-histogram twins carry the percentile view (p50..p999) that the
-    // fixed-edge histograms above cannot: dispatch RPC latency spans orders
-    // of magnitude between a warm loopback worker and a retried WAN job.
     dispatch->observe_log("simd.net.job_wall_ms", wall_ms);
     dispatch->observe_log(wtag + ".wall_ms", wall_ms);
     dispatch->add("simd.net.jobs_dispatched");
@@ -818,25 +812,6 @@ std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
     }
   });
 
-  for_union("histograms", [&](const std::string& name,
-                              const obs::JsonValue* va,
-                              const obs::JsonValue* vb) {
-    if (va == nullptr || vb == nullptr) {
-      report("histogram " + name + " present in only one report");
-      return;
-    }
-    if (va->at("count").as_number() != vb->at("count").as_number()) {
-      report("histogram " + name + " count: " +
-             std::to_string(va->at("count").as_number()) + " vs " +
-             std::to_string(vb->at("count").as_number()));
-      return;
-    }
-    if (name.find("wall_ms") != std::string::npos) return;  // timings
-    if (va->at("mean").as_number() != vb->at("mean").as_number()) {
-      report("histogram " + name + " mean differs");
-    }
-  });
-
   for_union("log_histograms", [&](const std::string& name,
                                   const obs::JsonValue* va,
                                   const obs::JsonValue* vb) {
@@ -850,8 +825,8 @@ std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
              std::to_string(vb->at("count").as_number()));
       return;
     }
-    // Same rule as histograms: latency distributions (all current log
-    // histograms are millisecond timings) compare by count only.
+    // Latency distributions (all current log histograms are millisecond
+    // timings) compare by count only.
     if (name.find("_ms") != std::string::npos) return;
     if (va->at("mean").as_number() != vb->at("mean").as_number()) {
       report("log_histogram " + name + " mean differs");
