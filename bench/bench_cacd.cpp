@@ -8,8 +8,8 @@
 // a fresh RateFunction and evaluates the CTS), then
 // warm passes replay the identical workload against the populated cache
 // (pure memo lookups + the closed-form Bahadur-Rao step).  The warm/cold
-// throughput ratio is the service's cache win; the committed BENCH_*.json
-// baselines track both via cts_benchd.
+// throughput ratio is the service's cache win; the --metrics report
+// records both as cacd.cold_qps.* / cacd.warm_qps.* gauges.
 
 #include <ctime>
 #include <cstdio>
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       {"model", "queries", "cold_qps", "warm_qps", "speedup", "cache_entries"});
 
   // Warm replays per model: enough that the per-query cost dominates the
-  // timer, small enough for the smoke suite.
+  // timer, small enough to keep the bench short.
   const long long warm_reps = flags.get_int("warm-reps", 200);
 
   const std::vector<cts::fit::ModelSpec> models = {

@@ -7,16 +7,13 @@
 // paper's 60 x 500k-frame scale (REPRO_REPS / REPRO_FRAMES override
 // individually).
 
-// Observability (see the "Observability" and "Benchmarking" sections of
-// README.md): every bench accepts --trace=<path> (Chrome-trace span
-// timeline), --metrics=<path> (JSON run report: config echo + all registry
-// metrics), --perf=<path> (cts.perf.v1 report: getrusage, hardware
-// counters when permitted, per-phase span self-time table — the file
-// tools/cts_benchd aggregates into BENCH_*.json), --profile=<path>
-// (cts.profile.v1 span-stack sampling profile; --profile-folded,
-// --profile-hz and --profile-backend tune it), --quiet (suppress the
-// stderr progress line; CTS_QUIET=1 equivalent) and --help, via the
-// ObsGuard each main() constructs right after flag parsing.
+// Observability (see the "Observability" section of README.md): every
+// bench accepts --trace=<path> (Chrome-trace span timeline),
+// --metrics=<path> (JSON run report: config echo + all registry metrics),
+// --profile=<path> (cts.profile.v1 span-stack sampling profile;
+// --profile-folded, --profile-hz and --profile-backend tune it), --quiet
+// (suppress the stderr progress line; CTS_QUIET=1 equivalent) and --help,
+// via the ObsGuard each main() constructs right after flag parsing.
 
 #pragma once
 
@@ -24,19 +21,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_suite.hpp"
 #include "cts/fit/model_zoo.hpp"
-#include "cts/obs/perf.hpp"
 #include "cts/obs/profiler.hpp"
 #include "cts/obs/progress.hpp"
 #include "cts/obs/run_report.hpp"
-#include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/sim/curves.hpp"
 #include "cts/sim/replication.hpp"
@@ -92,14 +85,14 @@ inline cts::sim::ReplicationConfig bench_scale() {
 /// Per-bench observability harness.  Construct one right after parsing
 /// Flags; it (a) handles --help (prints the known-flag list and exits 0)
 /// and warns about unrecognised --flags with a did-you-mean suggestion,
-/// (b) enables span recording when --trace or --perf was passed,
-/// (c) honours --quiet, (d) arms the resource probe / hardware counters
-/// for --perf, and (e) on destruction writes the --metrics run report,
-/// the --trace file and the --perf report.
+/// (b) enables span recording when --trace was passed, (c) honours
+/// --quiet, (d) starts the --profile sampler, and (e) on destruction
+/// writes the --metrics run report, the --trace file, the --shard-out
+/// file and the profile.
 class ObsGuard {
  public:
   /// Preferred constructor: a registered bench (see bench_suite.hpp);
-  /// kind/title are echoed into the run and perf reports.
+  /// kind/title are echoed into the run report.
   ObsGuard(const cts::util::Flags& flags, const BenchSpec& spec,
            std::vector<std::string> extra_known = {})
       : ObsGuard(flags, spec.id, std::move(extra_known)) {
@@ -147,14 +140,6 @@ class ObsGuard {
     }
     if (flags_.has("metrics")) {
       metrics_path_ = flags_.get_string("metrics", run_id_ + "_metrics.json");
-    }
-    if (flags_.has("perf")) {
-      perf_path_ = flags_.get_string("perf", run_id_ + "_perf.json");
-      // Span self-time attribution needs the recorder even without --trace.
-      cts::obs::TraceRecorder::global().enable();
-      probe_.emplace();
-      counters_ = std::make_unique<cts::obs::PerfCounterGroup>();
-      counters_->start();
     }
     if (flags_.has("profile") || flags_.has("profile-folded")) {
       if (flags_.has("profile")) {
@@ -218,8 +203,8 @@ class ObsGuard {
   void write_reports() {
     cts::obs::TraceRecorder& recorder = cts::obs::TraceRecorder::global();
     if (recorder.enabled()) {
-      // Root span covering the bench body, so every bench — including the
-      // purely analytic ones — has a phase table with at least "bench".
+      // Root span covering the bench body, so every bench's trace —
+      // including the purely analytic ones — has at least one span.
       recorder.record("bench.main", main_start_us_,
                       recorder.now_us() - main_start_us_);
     }
@@ -268,21 +253,6 @@ class ObsGuard {
       }
       shards.disable();
     }
-    if (!perf_path_.empty()) {
-      cts::obs::PerfReport report;
-      report.info.emplace_back("run_id", run_id_);
-      if (!kind_.empty()) report.info.emplace_back("bench_kind", kind_);
-      if (!title_.empty()) report.info.emplace_back("bench_title", title_);
-      report.resources = probe_->sample();
-      report.hw = counters_->stop();
-      report.spans = cts::obs::aggregate_spans(recorder.events());
-      if (report.write(perf_path_)) {
-        std::printf("[perf report written to %s]\n", perf_path_.c_str());
-      } else {
-        std::printf("[warning: could not write perf report to %s]\n",
-                    perf_path_.c_str());
-      }
-    }
     if (!profile_path_.empty() || !profile_folded_path_.empty()) {
       cts::obs::Profiler& prof = cts::obs::Profiler::global();
       prof.stop();
@@ -318,13 +288,10 @@ class ObsGuard {
   std::string title_;
   std::string trace_path_;
   std::string metrics_path_;
-  std::string perf_path_;
   std::string shard_path_;
   std::string profile_path_;
   std::string profile_folded_path_;
   std::int64_t main_start_us_ = 0;
-  std::optional<cts::obs::ResourceProbe> probe_;
-  std::unique_ptr<cts::obs::PerfCounterGroup> counters_;
 };
 
 inline cts::sim::ReplicationConfig ObsGuard::bench_scale_echo() {

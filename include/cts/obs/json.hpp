@@ -1,5 +1,5 @@
 // Minimal JSON emission, validation and parsing for the observability
-// exporters and the perf-telemetry tools.
+// exporters and the wire protocols.
 //
 // The run-report (--metrics) and Chrome-trace (--trace) writers need
 // well-formed JSON without an external dependency.  JsonWriter tracks the
@@ -7,8 +7,8 @@
 // produce structurally invalid output; json_parse_check is a strict
 // recursive-descent validator used by the tests and the ctest smoke test
 // to confirm the emitted files actually parse; json_parse builds a small
-// DOM (JsonValue) from the same grammar, so cts_benchd can aggregate
-// per-run perf reports and cts_benchcmp can diff two BENCH_*.json files.
+// DOM (JsonValue) from the same grammar, which the wire parsers (jobs,
+// CAC queries, stats replies) and cts_simd's report merge and diff read.
 
 #pragma once
 
@@ -81,8 +81,8 @@ class JsonWriter {
 bool json_parse_check(const std::string& text, std::string* error = nullptr);
 
 /// Parsed JSON value: a small DOM for reading the files this library
-/// itself emits (perf reports, BENCH_*.json).  Object member order is
-/// preserved.  Accessors with a type precondition throw
+/// itself emits (run reports, shard files, wire messages).  Object member
+/// order is preserved.  Accessors with a type precondition throw
 /// util::InvalidArgument on mismatch so schema errors surface as one
 /// catchable exception rather than silent zeros.
 struct JsonValue {
@@ -105,11 +105,13 @@ struct JsonValue {
   bool as_bool() const;          ///< requires kBool
   double as_number() const;      ///< requires kNumber
   /// Requires a kNumber that is a finite integer in [0, 2^53]; throws
-  /// InvalidArgument naming `field` otherwise.  The one checked conversion
-  /// from a wire number to an integer type: casting an out-of-range double
-  /// is undefined behaviour.  Callers storing into a narrower type check
-  /// their own bound.
+  /// InvalidArgument naming `field` otherwise.  This and as_int are the
+  /// checked conversions from a wire number to an integer type: casting an
+  /// out-of-range double is undefined behaviour.  Callers storing into a
+  /// narrower type check their own bound.
   std::uint64_t as_uint(const std::string& field) const;
+  /// The signed variant of as_uint: a finite integer in [-2^53, 2^53].
+  std::int64_t as_int(const std::string& field) const;
   const std::string& as_string() const;  ///< requires kString
 
   /// Object member lookup; nullptr when absent or not an object.

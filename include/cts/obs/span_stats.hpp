@@ -3,12 +3,12 @@
 // each span's duration minus the time spent in spans nested inside it on
 // the same thread.  Self time answers "which phase actually burned the
 // wall-clock" — a replication span that spends 95% of its time inside
-// fluid_mux.run contributes only 5% self time.
+// fluid_mux.run contributes only 5% self time.  The table feeds the
+// span section of a daemon's cts.stats.v1 reply (net::Server).
 //
-// A second rollup groups span names into coarse phases by their prefix up
-// to the first '.' ("fluid_mux.run" -> "fluid_mux"), giving the
-// generator-vs-mux-vs-stats table embedded in perf reports (--perf=) and
-// aggregated by cts_benchd into BENCH_*.json.
+// A thread blocked on other threads or on a socket records the wait in a
+// span named "wait.*" (the worker-pool join is "wait.join"), so the
+// enclosing span's self time counts only its own work.
 
 #pragma once
 
@@ -30,23 +30,9 @@ struct SpanAgg {
   std::int64_t max_us = 0;    ///< longest single span
 };
 
-/// Coarse per-phase rollup (phase = span name prefix before the first '.').
-struct PhaseSelfTime {
-  std::string phase;
-  std::int64_t self_us = 0;
-  std::uint64_t spans = 0;
-};
-
-/// The phase a span name belongs to: everything before the first '.', the
-/// whole name when there is no dot ("replication" -> "replication").
-std::string span_phase(const std::string& name);
-
 /// Aggregates completed spans into per-name totals with self time.
 /// Nesting is inferred per thread from interval containment (RAII spans
 /// nest properly by construction).  Result is sorted by self_us descending.
 std::vector<SpanAgg> aggregate_spans(const std::vector<TraceEvent>& events);
-
-/// Rolls span aggregates up into phases, sorted by self_us descending.
-std::vector<PhaseSelfTime> phase_self_times(const std::vector<SpanAgg>& spans);
 
 }  // namespace cts::obs

@@ -35,8 +35,6 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"trace", "PATH", "write a Chrome-trace span timeline"},
     {"metrics", "PATH",
      "write the JSON run report (config echo + metrics registry)"},
-    {"perf", "PATH",
-     "write the cts.perf.v1 report (rusage, hw counters, span self-times)"},
     {"profile", "PATH",
      "write a cts.profile.v1 span-stack sampling profile (default "
      "<run_id>_profile.json)"},
@@ -52,73 +50,6 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"quiet", "",
      "suppress the stderr progress line (CTS_QUIET=1 equivalent)"},
     {"help", "", "print this flag list and exit"},
-};
-
-/// tools/cts_benchd.
-inline constexpr FlagDoc kBenchdFlags[] = {
-    {"suite", "smoke|sim|analytic|full", "bench suite to run (default smoke)"},
-    {"filter", "SUBSTR", "only benches whose id contains SUBSTR"},
-    {"repeats", "N", "measured runs per bench (default 5)"},
-    {"warmup", "N", "unmeasured warmup runs per bench (default 1)"},
-    {"out", "PATH", "output document (default BENCH_<date>.json)"},
-    {"bench-dir", "DIR",
-     "directory with the bench binaries (default: CTS_BENCH_DIR or the "
-     "build-tree sibling bench/)"},
-    {"reps", "N", "pin REPRO_REPS for every child (default 2)"},
-    {"frames", "N", "pin REPRO_FRAMES for every child (default 2000)"},
-    {"date", "YYYY-MM-DD", "override the document date (default: today UTC)"},
-    {"compare", "BASE.json",
-     "one-shot gate: after writing the document, compare it against this "
-     "baseline and exit like cts_benchcmp (0 ok, 1 regression, 2 error)"},
-    {"k", "K", "--compare noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "--compare relative gate in percent (default 5)"},
-    {"json-lines", "PATH",
-     "stream one RFC 8259 JSON object per run (cts.benchrun.v1) for soak "
-     "monitoring"},
-    {"log", "PATH",
-     "append cts.events.v1 JSONL events (suite/bench lifecycle) to PATH"},
-    {"log-level", "LEVEL",
-     "event-log sink threshold: debug|info|warn|error (default info)"},
-    {"keep-runs", "", "keep the per-run perf reports in the temp run dir"},
-    {"list", "", "print the bench registry and exit"},
-    {"quiet", "", "suppress progress on stderr"},
-    {"help", "", "print usage and exit"},
-};
-
-/// tools/cts_benchcmp.
-inline constexpr FlagDoc kBenchcmpFlags[] = {
-    {"k", "K", "noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "relative gate in percent of the baseline (default 5)"},
-    {"metrics", "CSV",
-     "comma-separated metrics to gate (default wall_s,user_s,sys_s,"
-     "max_rss_kb)"},
-    {"validate", "FILE.json",
-     "only validate FILE: strict RFC 8259 plus the cts.bench.v1 schema tag"},
-    {"quiet", "", "suppress the delta table"},
-    {"help", "", "print usage and exit"},
-};
-
-/// tools/cts_benchtrend.
-inline constexpr FlagDoc kBenchtrendFlags[] = {
-    {"dir", "DIR",
-     "scan DIR for BENCH_*.json when no files are given (default .)"},
-    {"metrics", "CSV", "comma-separated metrics to chart (default wall_s)"},
-    {"md", "PATH", "write the markdown trend report"},
-    {"csv", "PATH", "write the CSV mirror"},
-    {"svg", "PATH",
-     "write the SVG sparkline chart (per suite: <stem>_<suite>.svg when "
-     "baselines span several suites)"},
-    {"k", "K", "noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "relative gate in percent of the first baseline (default 5)"},
-    {"window", "N",
-     "trailing baselines that must all sit beyond the band to flag drift "
-     "(default 2)"},
-    {"gate", "", "exit 1 when any series flags sustained drift"},
-    {"validate", "",
-     "only validate the given files: strict RFC 8259 plus the cts.bench.v1 "
-     "schema tag"},
-    {"quiet", "", "suppress the report on stdout"},
-    {"help", "", "print usage and exit"},
 };
 
 /// tools/cts_simd.
@@ -296,7 +227,7 @@ inline constexpr EnvDoc kEnvVars[] = {
     {"REPRO_FRAMES", "override frames per replication"},
     {"REPRO_SHARD", "run only replication shard I/N (same as --shard)"},
     {"CTS_QUIET", "suppress the stderr progress line (same as --quiet)"},
-    {"CTS_BENCH_DIR", "bench-binary directory for cts_benchd"},
+    {"CTS_BENCH_DIR", "bench-binary directory for cts_simd and cts_shardd"},
     {"CTS_SIMD", "pin the SIMD kernel tier: scalar, sse2, or avx2"},
 };
 
@@ -310,11 +241,6 @@ struct ToolDoc {
 inline constexpr ToolDoc kTools[] = {
     {"bench binaries", kBenchSharedFlags,
      sizeof(kBenchSharedFlags) / sizeof(kBenchSharedFlags[0])},
-    {"cts_benchd", kBenchdFlags, sizeof(kBenchdFlags) / sizeof(kBenchdFlags[0])},
-    {"cts_benchcmp", kBenchcmpFlags,
-     sizeof(kBenchcmpFlags) / sizeof(kBenchcmpFlags[0])},
-    {"cts_benchtrend", kBenchtrendFlags,
-     sizeof(kBenchtrendFlags) / sizeof(kBenchtrendFlags[0])},
     {"cts_simd", kSimdFlags, sizeof(kSimdFlags) / sizeof(kSimdFlags[0])},
     {"cts_shardd", kShardDFlags,
      sizeof(kShardDFlags) / sizeof(kShardDFlags[0])},

@@ -429,18 +429,35 @@ double JsonValue::as_number() const {
   return number;
 }
 
-std::uint64_t JsonValue::as_uint(const std::string& field) const {
-  // 2^53: the largest range in which every integer is an exact double, so
-  // the cast below is defined and no neighbouring count aliases this one.
-  constexpr double kMax = 9007199254740992.0;
-  const double d = as_number();
-  if (!(d >= 0.0 && d <= kMax && d == std::floor(d))) {
+namespace {
+
+// 2^53: the largest range in which every integer is an exact double, so
+// the casts below are defined and no neighbouring value aliases another.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// `d` when it is an integer in [lo, 2^53]; InvalidArgument naming `field`
+/// and the accepted `range` otherwise (NaN and infinities included).
+double require_integer(double d, double lo, const std::string& field,
+                       const char* range) {
+  if (!(d >= lo && d <= kMaxExactInteger && d == std::floor(d))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", d);
-    throw util::InvalidArgument(
-        field + ": expected an integer in [0, 2^53], got " + buf);
+    throw util::InvalidArgument(field + ": expected an integer in " + range +
+                                ", got " + buf);
   }
-  return static_cast<std::uint64_t>(d);
+  return d;
+}
+
+}  // namespace
+
+std::uint64_t JsonValue::as_uint(const std::string& field) const {
+  return static_cast<std::uint64_t>(
+      require_integer(as_number(), 0.0, field, "[0, 2^53]"));
+}
+
+std::int64_t JsonValue::as_int(const std::string& field) const {
+  return static_cast<std::int64_t>(require_integer(
+      as_number(), -kMaxExactInteger, field, "[-2^53, 2^53]"));
 }
 
 const std::string& JsonValue::as_string() const {

@@ -5,11 +5,6 @@
 
 namespace cts::obs {
 
-std::string span_phase(const std::string& name) {
-  const auto dot = name.find('.');
-  return dot == std::string::npos ? name : name.substr(0, dot);
-}
-
 std::vector<SpanAgg> aggregate_spans(const std::vector<TraceEvent>& events) {
   // Sort by (tid, start, duration desc) so that within a thread a parent
   // span precedes the spans nested inside it, even when they start on the
@@ -66,25 +61,6 @@ std::vector<SpanAgg> aggregate_spans(const std::vector<TraceEvent>& events) {
     if (a.self_us != b.self_us) return a.self_us > b.self_us;
     return a.name < b.name;
   });
-  return out;
-}
-
-std::vector<PhaseSelfTime> phase_self_times(const std::vector<SpanAgg>& spans) {
-  std::map<std::string, PhaseSelfTime> by_phase;
-  for (const SpanAgg& s : spans) {
-    PhaseSelfTime& p = by_phase[span_phase(s.name)];
-    if (p.phase.empty()) p.phase = span_phase(s.name);
-    p.self_us += s.self_us;
-    p.spans += s.count;
-  }
-  std::vector<PhaseSelfTime> out;
-  out.reserve(by_phase.size());
-  for (auto& [phase, p] : by_phase) out.push_back(std::move(p));
-  std::sort(out.begin(), out.end(),
-            [](const PhaseSelfTime& a, const PhaseSelfTime& b) {
-              if (a.self_us != b.self_us) return a.self_us > b.self_us;
-              return a.phase < b.phase;
-            });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "cts/obs/trace_merge.hpp"
 
 #include <fstream>
+#include <limits>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
@@ -80,9 +81,13 @@ std::vector<TraceEvent> trace_events_from_json(const JsonValue& v) {
     TraceEvent e;
     e.name = item.at("name").as_string();
     cu::require(!e.name.empty(), "trace events: empty span name");
-    e.tid = static_cast<int>(item.at("tid").as_number());
-    e.ts_us = static_cast<std::int64_t>(item.at("ts_us").as_number());
-    e.dur_us = static_cast<std::int64_t>(item.at("dur_us").as_number());
+    const std::int64_t tid = item.at("tid").as_int("trace events: tid");
+    cu::require(tid >= std::numeric_limits<int>::min() &&
+                    tid <= std::numeric_limits<int>::max(),
+                "trace events: tid out of int range");
+    e.tid = static_cast<int>(tid);
+    e.ts_us = item.at("ts_us").as_int("trace events: ts_us");
+    e.dur_us = item.at("dur_us").as_int("trace events: dur_us");
     cu::require(e.dur_us >= 0, "trace events: negative duration");
     events.push_back(std::move(e));
   }

@@ -13,9 +13,9 @@ namespace cts::sim {
 namespace {
 
 /// `span_name` attributes the whole buffer grid (one span per curve, not
-/// per point) to a named phase in --trace/--perf output, so the
-/// analytic benches' phase tables show where the rate-function work went
-/// instead of lumping everything under the "bench" root span.
+/// per point) to a named span in --trace output, so an analytic bench's
+/// timeline shows where the rate-function work went instead of lumping
+/// everything under the "bench.main" root span.
 AnalyticCurve asymptotic_curve(const fit::ModelSpec& model,
                                const MuxGeometry& geometry,
                                const std::vector<double>& buffer_ms,

@@ -97,10 +97,17 @@ ShardSliceRange run_replication_slice(
     }
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  {
+    // While the pool runs, this thread only starts the workers and then
+    // blocks on them: a wait.* span keeps that time out of the enclosing
+    // span's self time (obs::aggregate_spans), so self time summed over
+    // the other spans stays within wall time x threads.
+    CTS_TRACE_SPAN("wait.join");
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
   reporter.finish();
   return range;
 }

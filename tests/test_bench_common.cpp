@@ -27,7 +27,6 @@ TEST(BenchSuite, LooksUpRegisteredSpecs) {
   const bench::BenchSpec& s = bench::spec("table1");
   EXPECT_STREQ(s.binary, "bench_table1");
   EXPECT_STREQ(s.kind, "analytic");
-  EXPECT_TRUE(s.smoke);
   EXPECT_THROW(bench::spec("no_such_bench"), cts::util::InvalidArgument);
 }
 
@@ -45,8 +44,8 @@ TEST(ObsGuardDeathTest, HelpPrintsFlagListAndExitsZero) {
 TEST(ObsGuard, UnwritableReportPathsDoNotAbort) {
   const std::string bad = "/nonexistent_dir_cts_test/report.json";
   const std::string metrics_arg = "--metrics=" + bad;
-  const std::string perf_arg = "--perf=" + bad;
-  const char* argv[] = {"prog", metrics_arg.c_str(), perf_arg.c_str(),
+  const std::string trace_arg = "--trace=" + bad;
+  const char* argv[] = {"prog", metrics_arg.c_str(), trace_arg.c_str(),
                         "--quiet"};
   const cts::util::Flags flags(4, argv);
   {

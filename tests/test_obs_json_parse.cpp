@@ -1,12 +1,12 @@
 // JsonValue DOM parser (json_parse) and JsonWriter edge cases: the parser
-// backs cts_benchd's aggregation of per-run perf reports and cts_benchcmp's
-// BENCH_*.json diffing, so schema navigation errors must surface as typed
-// exceptions; the writer must map non-finite doubles to null or our own
+// backs the wire parsers and cts_simd's report merge and diff, so schema
+// navigation errors must surface as typed exceptions; the writer must map non-finite doubles to null or our own
 // validator would reject our own reports.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -82,18 +82,33 @@ TEST(JsonParse, MalformedInputThrowsWithOffset) {
   EXPECT_THROW(obs::json_parse("1 2"), cts::util::InvalidArgument);
 }
 
+TEST(JsonParse, CheckedIntegersStayWithinTwoToThe53) {
+  EXPECT_EQ(obs::json_parse("9007199254740992").as_int("x"),
+            std::int64_t{9007199254740992});
+  EXPECT_EQ(obs::json_parse("-9007199254740992").as_int("x"),
+            -std::int64_t{9007199254740992});
+  EXPECT_EQ(obs::json_parse("-3").as_int("x"), -3);
+  EXPECT_THROW(obs::json_parse("9007199254740994").as_int("x"),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::json_parse("-0.5").as_int("x"),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::json_parse("-1").as_uint("x"), cts::util::InvalidArgument);
+  EXPECT_THROW(obs::json_parse("\"1\"").as_int("x"),
+               cts::util::InvalidArgument);
+}
+
 TEST(JsonParse, RoundTripsRunReportStyleDocument) {
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
-  w.key("schema").value("cts.perf.v1");
+  w.key("schema").value("cts.stats.v1");
   w.key("resources").begin_object();
   w.key("wall_s").value(1.25);
   w.key("max_rss_kb").value(std::int64_t{43210});
   w.end_object();
   w.end_object();
   const obs::JsonValue v = obs::json_parse(os.str());
-  EXPECT_EQ(v.at("schema").as_string(), "cts.perf.v1");
+  EXPECT_EQ(v.at("schema").as_string(), "cts.stats.v1");
   EXPECT_DOUBLE_EQ(v.at("resources").at("wall_s").as_number(), 1.25);
   EXPECT_DOUBLE_EQ(v.at("resources").at("max_rss_kb").as_number(), 43210.0);
 }

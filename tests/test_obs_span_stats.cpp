@@ -1,6 +1,5 @@
 // Span-time attribution: self time must equal inclusive time minus the
-// time of directly nested spans, per thread, and the phase rollup must
-// group by the name prefix before the first dot.
+// time of directly nested spans, per thread.
 
 #include <gtest/gtest.h>
 
@@ -28,12 +27,6 @@ const obs::SpanAgg* find(const std::vector<obs::SpanAgg>& aggs,
     if (a.name == name) return &a;
   }
   return nullptr;
-}
-
-TEST(SpanPhase, PrefixBeforeFirstDot) {
-  EXPECT_EQ(obs::span_phase("fluid_mux.run"), "fluid_mux");
-  EXPECT_EQ(obs::span_phase("replication"), "replication");
-  EXPECT_EQ(obs::span_phase("proc.dar.generate"), "proc");
 }
 
 TEST(AggregateSpans, SelfTimeSubtractsNestedChildren) {
@@ -101,23 +94,6 @@ TEST(AggregateSpans, SortedBySelfTimeDescending) {
 
 TEST(AggregateSpans, EmptyInput) {
   EXPECT_TRUE(obs::aggregate_spans({}).empty());
-  EXPECT_TRUE(obs::phase_self_times({}).empty());
-}
-
-TEST(PhaseSelfTimes, RollsUpByPrefix) {
-  const std::vector<obs::TraceEvent> events = {
-      ev("fluid_mux.run", 1, 0, 60),
-      ev("fluid_mux.drain", 1, 70, 20),
-      ev("replication", 2, 0, 50),
-  };
-  const std::vector<obs::PhaseSelfTime> phases =
-      obs::phase_self_times(obs::aggregate_spans(events));
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].phase, "fluid_mux");
-  EXPECT_EQ(phases[0].self_us, 80);
-  EXPECT_EQ(phases[0].spans, 2u);
-  EXPECT_EQ(phases[1].phase, "replication");
-  EXPECT_EQ(phases[1].self_us, 50);
 }
 
 }  // namespace

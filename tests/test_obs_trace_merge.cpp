@@ -115,6 +115,16 @@ TEST(TraceEventsWire, RejectsMalformedDocuments) {
                cts::util::InvalidArgument);  // missing name
   EXPECT_THROW(parse(R"([{"name":"x","tid":0,"ts_us":0,"dur_us":-1}])"),
                cts::util::InvalidArgument);  // negative duration
+  // Numbers no integer field can hold: casting them would be undefined.
+  EXPECT_THROW(parse(R"([{"name":"x","tid":0,"ts_us":1e300,"dur_us":1}])"),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(parse(R"([{"name":"x","tid":0,"ts_us":-1e300,"dur_us":1}])"),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(parse(R"([{"name":"x","tid":0,"ts_us":0,"dur_us":1.5}])"),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(
+      parse(R"([{"name":"x","tid":1099511627776,"ts_us":0,"dur_us":1}])"),
+      cts::util::InvalidArgument);  // tid = 2^40 does not fit an int
 }
 
 }  // namespace

@@ -31,9 +31,13 @@ std::string obstop() {
 }
 
 /// Runs cts_obstop with `args`, captures stderr, and returns the exit
-/// code; the captured stderr is stored in *err.
+/// code; the captured stderr is stored in *err.  The capture file is named
+/// after the running test, because ctest -j runs these tests at once.
 int run_obstop(const std::string& args, std::string* err) {
-  const std::string err_path = ::testing::TempDir() + "/obstop_cli_err.txt";
+  const std::string err_path =
+      ::testing::TempDir() + "/obstop_cli_err_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   const int rc = shell("'" + obstop() + "' " + args + " > /dev/null 2>'" +
                        err_path + "'");
   *err = cu::read_text_file(err_path);

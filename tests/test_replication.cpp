@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cts/obs/span_stats.hpp"
+#include "cts/obs/trace.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/flags.hpp"
 
@@ -42,6 +44,37 @@ TEST(Replication, ResultsIndependentOfThreadCount) {
     EXPECT_DOUBLE_EQ(serial.clr[i].clr.mean, parallel.clr[i].clr.mean);
   }
   EXPECT_DOUBLE_EQ(serial.total_arrived_cells, parallel.total_arrived_cells);
+}
+
+TEST(Replication, JoinWaitIsNotSelfTime) {
+  // The pool join is recorded as a wait.* span, so the work spans' self
+  // times cannot add up to more than every thread busy for the whole run.
+  const cf::ModelSpec model = cf::make_ar1(0.8);
+  cm::ReplicationConfig config = small_config();
+  config.threads = 2;
+  config.progress = false;
+  cts::obs::TraceRecorder& recorder = cts::obs::TraceRecorder::global();
+  recorder.reset();
+  recorder.enable();
+  const std::int64_t t0 = recorder.now_us();
+  (void)cm::run_replicated(model, config);
+  const std::int64_t wall_us = recorder.now_us() - t0;
+  recorder.disable();
+  const std::vector<cts::obs::SpanAgg> spans =
+      cts::obs::aggregate_spans(recorder.events());
+  recorder.reset();
+
+  std::int64_t work_self_us = 0;
+  bool saw_wait = false;
+  for (const cts::obs::SpanAgg& span : spans) {
+    if (span.name.rfind("wait.", 0) == 0) {
+      saw_wait = true;
+    } else {
+      work_self_us += span.self_us;
+    }
+  }
+  EXPECT_TRUE(saw_wait);
+  EXPECT_LE(work_self_us, wall_us * static_cast<std::int64_t>(config.threads));
 }
 
 TEST(Replication, MasterSeedChangesResults) {
